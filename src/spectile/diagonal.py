@@ -18,6 +18,7 @@ both on streams of candidates.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from itertools import combinations
@@ -409,7 +410,7 @@ def _run_chunked(worker, payloads: list, threads: int) -> tuple[int, list[str]]:
         return checked, lines
     import multiprocessing
 
-    with multiprocessing.Pool(processes=threads) as pool:
+    with multiprocessing.Pool(processes=min(threads, len(payloads))) as pool:
         results = pool.map(worker, payloads)
     checked, lines = 0, []
     for c, ls in results:
@@ -437,8 +438,12 @@ def run_agreement_harness(
     Each stream runs exhaustively when its whole space fits the budget, and
     otherwise checks ``budget`` seeded uniform samples. ``checked`` counts the
     candidate P sets; splits are reported on their own line and both streams
-    feed ``disagreements``.
+    feed ``disagreements``. ``threads`` must be at least 1; it is clamped to
+    the CPU count, and no more workers start than there are chunks.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = min(threads, os.cpu_count() or 1)
     n = spec.order
     rng = random.Random(seed)
     pair = diagonal_subgroup(spec)

@@ -275,7 +275,7 @@ class PointSet:
         return f"PointSet({self.group.spec_string()}, {len(self.points)} points)"
 
 
-_SPEC_RE = re.compile(r"\d+(?:\^\d+)?(?:[x,]\d+(?:\^\d+)?)*")
+_SPEC_RE = re.compile(r"[0-9]+(?:\^[0-9]+)?(?:[x,][0-9]+(?:\^[0-9]+)?)*")
 
 
 def parse_group_spec(text: str) -> GroupSpec:

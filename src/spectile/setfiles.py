@@ -15,10 +15,16 @@ canonical file byte for byte.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .groups import GroupElement, GroupSpec, PointSet, parse_group_spec
 from .lifting import BoxedSet
+
+
+# An optional ASCII sign and ASCII digits only: int() alone would also take
+# "1_0" and non-ASCII digits such as "١٢".
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class SetFileError(ValueError):
@@ -51,12 +57,12 @@ def parse_set_file(text: str) -> ParsedSetFile:
                 raise SetFileError(f"line {lineno}: {exc}") from exc
             header = (parts[0], spec)
             continue
-        try:
-            coords = tuple(int(tok) for tok in line.split(","))
-        except ValueError as exc:
+        toks = [tok.strip() for tok in line.split(",")]
+        if not all(_INT_RE.fullmatch(tok) for tok in toks):
             raise SetFileError(
                 f"line {lineno}: expected comma-separated integers, got {line!r}"
-            ) from exc
+            )
+        coords = tuple(int(tok) for tok in toks)
         if len(coords) != len(header[1].orders):
             raise SetFileError(
                 f"line {lineno}: expected {len(header[1].orders)} coordinates, "

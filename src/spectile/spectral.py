@@ -10,6 +10,7 @@ vanishing of one exact character sum.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -68,7 +69,11 @@ def are_orthogonal(S: PointSet, h1: GroupElement, h2: GroupElement) -> bool:
 
 @dataclass(frozen=True)
 class SpectrumCertificate:
-    """A verified spectral pair: every unordered spectrum pair checked."""
+    """A verified spectral pair: every unordered spectrum pair is covered.
+
+    Orthogonality of a pair depends only on its difference, so each distinct
+    difference is tested once; ``checked_pairs`` counts the pairs covered.
+    """
 
     set: PointSet
     spectrum: PointSet
@@ -89,7 +94,12 @@ class SpectralFailure:
 def verify_spectral_pair(
     S: PointSet, spectrum: PointSet
 ) -> SpectrumCertificate | SpectralFailure:
-    """Check |spectrum| = |S| and pairwise orthogonality on S, exhaustively."""
+    """Check |spectrum| = |S| and pairwise orthogonality on S, exhaustively.
+
+    Pairs are walked in ``combinations`` order, and the character sum at
+    h1 - h2 is computed only for a difference not seen before. A failure
+    therefore names the first non-orthogonal pair of the full walk.
+    """
     if S.group != spectrum.group:
         raise ValueError("set and spectrum live in different groups")
     if len(S) == 0:
@@ -99,16 +109,49 @@ def verify_spectral_pair(
             kind="cardinality",
             detail=f"|S|={len(S)} but |spectrum|={len(spectrum)}",
         )
-    checked = 0
+    orthogonal: set[tuple[int, ...]] = set()
     for h1, h2 in combinations(spectrum.points, 2):
-        if not are_orthogonal(S, h1, h2):
+        d = h1 - h2
+        if d.coords in orthogonal:
+            continue
+        if not char_sum_on_set(S, d).is_zero():
             return SpectralFailure(
                 kind="pair",
                 detail=f"characters {h1!r} and {h2!r} are not orthogonal on S",
                 pair=(h1, h2),
             )
-        checked += 1
-    return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=checked)
+        orthogonal.add(d.coords)
+    n = len(spectrum)
+    return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=n * (n - 1) // 2)
+
+
+def _zero_set_ranks(S: PointSet) -> list[int]:
+    """Ascending ranks of the nonzero h whose character sum over S vanishes.
+
+    The zero set is a union of Galois classes: for u coprime to the exponent,
+    sigma_u maps the sum at h to the sum at u*h, and every generator of <h>
+    is such a u*h. So one exact test per cyclic subgroup decides it.
+    """
+    spec = S.group
+    vanishes: list[bool | None] = [None] * spec.order
+    for r in range(1, spec.order):
+        if vanishes[r] is None:
+            h = spec.element_at(r)
+            zero = char_sum_on_set(S, h).is_zero()
+            for g in _generator_ranks(h):
+                vanishes[g] = zero
+    return [r for r in range(1, spec.order) if vanishes[r]]
+
+
+def _generator_ranks(h: GroupElement) -> list[int]:
+    """Ranks of the generators k*h of <h>: 1 <= k <= ord(h), gcd(k, ord(h)) = 1."""
+    spec, coords = h.group, h.coords
+    order = math.lcm(*(n // math.gcd(c, n) for c, n in zip(coords, spec.orders)))
+    return [
+        spec.rank_of([k * c % n for c, n in zip(coords, spec.orders)])
+        for k in range(1, order + 1)
+        if math.gcd(k, order) == 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -255,11 +298,7 @@ def find_spectrum(
 
     # Orthogonality to 0 depends only on the difference, so the candidate
     # vertices are exactly the nonzero elements whose character sum vanishes.
-    zero_diffs = [
-        r
-        for r in range(1, spec.order)
-        if char_sum_on_set(S, spec.element_at(r)).is_zero()
-    ]
+    zero_diffs = _zero_set_ranks(S)
     rank_list = [0] + zero_diffs  # vertex i <-> group rank rank_list[i]
     if len(rank_list) < k:
         return SpectrumSearch(status="exhausted", certificate=None, nodes=1)

@@ -198,6 +198,25 @@ def test_harness_threads_flag_matches_serial(files, capsys):
     assert parallel == serial
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_harness_threads_below_one_is_usage_error(files, capsys, threads):
+    code, out = run_cli(["harness", "--group", "2", "--threads", threads], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_pipeline_4x4_k3(tmp_path, capsys):
+    a = tmp_path / "A.set"
+    b = tmp_path / "B.set"
+    a.write_text("box 4x4\n0,0\n0,1\n1,0\n1,1\n", encoding="utf-8")
+    b.write_text("box 4x4\n0,0\n0,2\n2,0\n2,2\n", encoding="utf-8")
+    code, out = run_cli(["pipeline", str(a), str(b), "--k", "3"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "step=lifted-spectrum status=pass detail=|set|=1296 pairs-checked=839160"
+    )
+
+
 def test_json_mirrors_text_verdicts(files, capsys):
     code, out = run_cli(["find-spectrum", files["S01"], "--json"], capsys)
     payload = json.loads(out)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
 from itertools import combinations
 
@@ -199,6 +201,56 @@ def test_harness_threads_match_serial():
     serial = run_agreement_harness(g, budget=150, seed=1, threads=1)
     parallel = run_agreement_harness(g, budget=150, seed=1, threads=2)
     assert serial.render() == parallel.render()
+
+
+@pytest.fixture
+def recorded_pools(monkeypatch):
+    """Replace multiprocessing.Pool; record each ``processes``, map in-process."""
+    created: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            created.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return created
+
+
+@pytest.mark.parametrize(
+    "n, cpus, threads, pools",
+    [
+        # Z_3: 84 candidates in 4 chunks, 6 splits in 3 chunks of 2
+        (3, 4, 10**9, [4, 3]),
+        # Z_2: 6 candidates and 4 splits, one per chunk, below the CPU count
+        (2, 64, 10**6, [6, 4]),
+    ],
+)
+def test_harness_threads_clamped_to_cpus_and_chunks(
+    recorded_pools, monkeypatch, n, cpus, threads, pools
+):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    g = GroupSpec([n])
+    serial = run_agreement_harness(g, seed=1)
+    assert recorded_pools == []
+    clamped = run_agreement_harness(g, seed=1, threads=threads)
+    assert recorded_pools == pools
+    assert clamped == serial
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_harness_rejects_threads_below_one(recorded_pools, threads):
+    with pytest.raises(ValueError, match="threads"):
+        run_agreement_harness(GroupSpec([2]), threads=threads)
+    assert recorded_pools == []
 
 
 def test_iter_product_splits_counts():

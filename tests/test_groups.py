@@ -55,6 +55,12 @@ def test_parse_rejects_malformed(bad):
         parse_group_spec(bad)
 
 
+@pytest.mark.parametrize("bad", ["\u0661\u0662", "2x\u0663", "4^\u0662", "\uff11\uff12", "1_0"])
+def test_parse_rejects_non_ascii_digits(bad):
+    with pytest.raises(ValueError, match="malformed"):
+        parse_group_spec(bad)
+
+
 def test_parse_rejects_oversized():
     with pytest.raises(ValueError, match="size limit"):
         parse_group_spec("2^64")

@@ -73,6 +73,26 @@ def test_non_integer_rows():
         point_set_from_file("group 4\nzero\n")
 
 
+@pytest.mark.parametrize(
+    "row", ["1_0", "\u0661\u0662", "\uff13", "0,\u0663", "++1", "1.0", "0x1", ""]
+)
+def test_rows_take_only_ascii_integers(row):
+    with pytest.raises(SetFileError, match="integers"):
+        point_set_from_file(f"group 4x4\n0,{row}\n")
+    with pytest.raises(SetFileError, match="integers"):
+        boxed_set_from_file(f"box 4x4\n{row},0\n")
+
+
+def test_header_spec_takes_only_ascii_digits():
+    with pytest.raises(SetFileError, match="malformed"):
+        point_set_from_file("group \u0661\u0662\n0\n")
+
+
+def test_whitespace_and_sign_around_coordinates_kept():
+    ps = point_set_from_file("group 4x4\n 1 , -1\n+2,\t3 \n")
+    assert [p.coords for p in ps.points] == [(1, 3), (2, 3)]
+
+
 def test_box_points_must_fit_box():
     with pytest.raises(SetFileError):
         boxed_set_from_file("box 4\n4\n")
