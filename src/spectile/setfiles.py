@@ -23,7 +23,7 @@ from .lifting import BoxedSet
 
 
 # An optional ASCII sign and ASCII digits only: int() alone would also take
-# "1_0" and non-ASCII digits such as "١٢".
+# "1_0" and non-ASCII decimal digits.
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
