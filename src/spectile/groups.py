@@ -8,6 +8,7 @@ distinct specs even though they are isomorphic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -179,7 +180,7 @@ class GroupElement:
         return self.coords < other.coords
 
     def __repr__(self) -> str:
-        return f"Elem({','.join(str(c) for c in self.coords)})"
+        return f"Elem({','.join(map(str, self.coords))})"
 
 
 def add(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -202,21 +203,18 @@ class PointSet:
     __slots__ = ("group", "points", "_hash")
 
     def __init__(self, group: GroupSpec, elements: Iterable[GroupElement]):
-        seen: set[tuple[int, ...]] = set()
-        pts: list[GroupElement] = []
+        by_coords: dict[tuple[int, ...], GroupElement] = {}
         for el in elements:
-            if el.group != group:
+            if el.group is not group and el.group != group:
                 raise ValueError(
                     f"element of {el.group.spec_string()} cannot join a point set "
                     f"in {group.spec_string()}"
                 )
-            if el.coords not in seen:
-                seen.add(el.coords)
-                pts.append(el)
-        pts.sort(key=lambda e: e.coords)
+            by_coords.setdefault(el.coords, el)
+        keys = sorted(by_coords)
         self.group = group
-        self.points = tuple(pts)
-        self._hash = hash((group.orders, tuple(p.coords for p in pts)))
+        self.points = tuple([by_coords[c] for c in keys])
+        self._hash = hash((group.orders, tuple(keys)))
 
     @classmethod
     def _from_sorted(cls, group: GroupSpec, points: tuple[GroupElement, ...]) -> PointSet:
@@ -302,6 +300,7 @@ def parse_group_spec(text: str) -> GroupSpec:
     return GroupSpec(orders)
 
 
+@functools.lru_cache(maxsize=64)
 def product_group(g1: GroupSpec, g2: GroupSpec) -> GroupSpec:
     """The direct product, with coordinates of ``g1`` first."""
     if g1.order * g2.order > MAX_ORDER:

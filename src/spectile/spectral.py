@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mod, sub
 
 import numpy as np
 
@@ -91,38 +92,48 @@ class SpectralFailure:
     ok = False
 
 
+@lru_cache(maxsize=8)
+def _vanishing_memo(S: PointSet) -> dict[tuple[int, ...], bool]:
+    # Does the character sum over S vanish at h? Keyed by the coordinates
+    # of h, shared by every verification against the same set.
+    return {}
+
+
 def verify_spectral_pair(
     S: PointSet, spectrum: PointSet
 ) -> SpectrumCertificate | SpectralFailure:
     """Check |spectrum| = |S| and pairwise orthogonality on S, exhaustively.
 
     Pairs are walked in ``combinations`` order, and the character sum at
-    h1 - h2 is computed only for a difference not seen before. A failure
-    therefore names the first non-orthogonal pair of the full walk.
+    h1 - h2 is computed only for a difference not seen before with this set
+    (verdicts are memoised per set). A failure therefore names the first
+    non-orthogonal pair of the full walk.
     """
-    if S.group != spectrum.group:
+    spec, orders = S.group, S.group.orders
+    if spectrum.group is not spec and spectrum.group != spec:
         raise ValueError("set and spectrum live in different groups")
-    if len(S) == 0:
+    size = len(spectrum.points)
+    if not S.points:
         raise ValueError("empty sets are excluded (counting measure zero)")
-    if len(spectrum) != len(S):
+    if size != len(S.points):
         return SpectralFailure(
             kind="cardinality",
-            detail=f"|S|={len(S)} but |spectrum|={len(spectrum)}",
+            detail=f"|S|={len(S)} but |spectrum|={size}",
         )
-    orthogonal: set[tuple[int, ...]] = set()
+    vanishes = _vanishing_memo(S)
     for h1, h2 in combinations(spectrum.points, 2):
-        d = h1 - h2
-        if d.coords in orthogonal:
-            continue
-        if not char_sum_on_set(S, d).is_zero():
+        d = tuple(map(mod, map(sub, h1.coords, h2.coords), orders))  # h1 - h2
+        zero = vanishes.get(d)
+        if zero is None:
+            zero = char_sum_on_set(S, GroupElement._trusted(spec, d)).is_zero()
+            vanishes[d] = zero
+        if not zero:
             return SpectralFailure(
                 kind="pair",
                 detail=f"characters {h1!r} and {h2!r} are not orthogonal on S",
                 pair=(h1, h2),
             )
-        orthogonal.add(d.coords)
-    n = len(spectrum)
-    return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=n * (n - 1) // 2)
+    return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=size * (size - 1) // 2)
 
 
 def _zero_set_ranks(S: PointSet) -> list[int]:
