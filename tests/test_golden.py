@@ -55,6 +55,35 @@ CASES: dict[str, list[str]] = {
         "find-spectrum", "z64_interval16.set", "--canonical",
     ],
     "find-spectrum-z64-interval16-json": ["find-spectrum", "z64_interval16.set", "--json"],
+    # searches of hundreds to thousands of nodes pin the exact trees
+    "find-spectrum-z2pow10-none": ["find-spectrum", "z2pow10_none12.set"],
+    "find-spectrum-z2pow10-none-canonical": [
+        "find-spectrum", "z2pow10_none12.set", "--canonical",
+    ],
+    "find-spectrum-z2pow10-budget-canonical": [
+        "find-spectrum", "z2pow10_none12.set", "--canonical", "--budget", "5000",
+    ],
+    # find-complement: found, exhausted and budget, default and canonical order
+    "find-complement-2x4x8-found": ["find-complement", "2x4x8_tile4.set"],
+    "find-complement-2x4x8-found-canonical": [
+        "find-complement", "2x4x8_tile4.set", "--canonical",
+    ],
+    "find-complement-2x4x8-found-json": ["find-complement", "2x4x8_tile4.set", "--json"],
+    "find-complement-2x4x8-none": ["find-complement", "2x4x8_notile8.set"],
+    "find-complement-2x4x8-none-canonical": [
+        "find-complement", "2x4x8_notile8.set", "--canonical",
+    ],
+    "find-complement-z2pow8-none": ["find-complement", "z2pow8_notile16.set"],
+    "find-complement-z2pow8-none-canonical": [
+        "find-complement", "z2pow8_notile16.set", "--canonical",
+    ],
+    "find-complement-z4pow4-found": ["find-complement", "z4pow4_tile8.set"],
+    "find-complement-z4pow4-budget": [
+        "find-complement", "z4pow4_tile8.set", "--budget", "20",
+    ],
+    "find-complement-z4pow4-budget-canonical": [
+        "find-complement", "z4pow4_tile8.set", "--canonical", "--budget", "5000",
+    ],
     # pipeline: the 4x4 box at k=2 prints pairs-checked=32640
     "pipeline-4x4-k2": ["pipeline", "box4x4_A.set", "box4x4_B.set", "--k", "2"],
     "pipeline-6-k3": ["pipeline", "box6_A.set", "box6_B.set", "--k", "3"],
