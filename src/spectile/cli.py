@@ -297,11 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--group", type=parse_group_spec, default=None,
                            help="group spec, e.g. 24^3 (must match file headers)")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=setfiles.ascii_int, default=None,
                        help="work budget (meaning depends on the command)")
-        p.add_argument("--seed", type=int, default=0,
+        p.add_argument("--seed", type=setfiles.ascii_int, default=0,
                        help="seed for any randomized sampling (default 0)")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=setfiles.ascii_int, default=1,
                        help="worker processes for the harness (default 1)")
         p.add_argument("--canonical", action="store_true",
                        help="force the lexicographically least search witness")
@@ -354,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="tiling -> lifted spectrum chain on box sets")
     p.add_argument("fileA")
     p.add_argument("fileB")
-    p.add_argument("--k", type=int, required=True, help="lift factor")
-    p.add_argument("--max-k", type=int, default=lifting.DEFAULT_MAX_LIFT,
+    p.add_argument("--k", type=setfiles.ascii_int, required=True, help="lift factor")
+    p.add_argument("--max-k", type=setfiles.ascii_int, default=lifting.DEFAULT_MAX_LIFT,
                    help="cap on the lift factor (default 4)")
     common(p, box=True)
     p.set_defaults(handler=_cmd_pipeline)

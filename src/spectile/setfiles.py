@@ -27,6 +27,13 @@ from .lifting import BoxedSet
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
+def ascii_int(text: str) -> int:
+    """``text`` as an integer, taking only an optional ASCII sign and ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 class SetFileError(ValueError):
     """Malformed set file."""
 

@@ -20,7 +20,7 @@ from operator import mod, sub
 import numpy as np
 
 from .cyclotomic import CyclotomicSum
-from .groups import GroupElement, PointSet
+from .groups import GroupElement, GroupSpec, PointSet
 
 # Above this cardinality a character sum is histogrammed through numpy
 # (exact int64; guarded against overflow, with a big-int fallback).
@@ -179,42 +179,89 @@ class _BudgetHit(Exception):
     pass
 
 
-def _greedy_color_bound(P: int, order: list[int], adj: list[int]) -> int:
-    """Number of greedy color classes of the candidate mask P (clique bound)."""
+# Row blocks of the graph build hold at most this many entries, so its
+# temporaries stay at a few hundred kB whatever the vertex count.
+_GRAPH_BLOCK_ENTRIES = 1 << 15
+
+
+def _orthogonality_rows(spec: GroupSpec, ranks: np.ndarray, zero: np.ndarray) -> list[int]:
+    """Bitset rows of the orthogonality graph on the vertices ``ranks``.
+
+    Bit j of row i is set iff rank(g_j - g_i) is in the zero set, given as
+    the boolean array ``zero`` over group ranks. The difference ranks are
+    summed factor by factor over blocks of rows: with x = c_j s and
+    y = (-c_i mod n) s for a factor of order n and stride s, the term of
+    the factor is x + y, less n s when that reaches n s.
+    """
+    # Every value stays below 2 * MAX_SEARCH_ORDER, which int16 holds.
+    terms = []
+    for n, s in zip(spec.orders, spec._strides):
+        c = ranks // s % n
+        terms.append(((c * s).astype(np.int16), (-c % n * s).astype(np.int16), np.int16(n * s)))
+    size = len(ranks)
+    block = max(1, _GRAPH_BLOCK_ENTRIES // size)
+    rows: list[int] = []
+    for i in range(0, size, block):
+        diff = np.zeros((min(block, size - i), size), dtype=np.int16)
+        t = np.empty_like(diff)
+        for x, y, wrap in terms:
+            np.add(x[None, :], y[i:i + block, None], out=t)
+            np.subtract(t, wrap, out=t, where=t >= wrap)
+            diff += t
+        packed = np.packbits(zero[diff], axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return rows
+
+
+def _color_classes(P: int, apart: list[int], limit: int = -1) -> list[int]:
+    """First-fit colour classes of the candidate mask P, in ascending bit order.
+
+    ``apart[v]`` is the mask of the vertices other than v not adjacent to it.
+    Each class takes the lowest uncoloured vertex, then repeatedly the lowest
+    one adjacent to none of its members; this gives exactly the classes of a
+    sequential first-fit colouring that visits the vertices in bit order.
+    A nonnegative ``limit`` stops after that many classes.
+    """
     classes: list[int] = []
-    for v in order:
-        if not (P >> v) & 1:
-            continue
-        av = adj[v]
-        for i, cmask in enumerate(classes):
-            if not (av & cmask):
-                classes[i] = cmask | (1 << v)
-                break
-        else:
-            classes.append(1 << v)
-    return len(classes)
+    while P and len(classes) != limit:
+        cls = 0
+        Q = P
+        while Q:
+            bit = Q & -Q
+            cls |= bit
+            Q &= apart[bit.bit_length() - 1]
+        classes.append(cls)
+        P ^= cls
+    return classes
 
 
 def _clique_search(
     adj: list[int],
-    nverts: int,
+    start: int,
     target: int,
     budget: int,
     canonical: bool,
 ) -> tuple[str, list[int] | None, int]:
-    """First clique of size ``target`` containing vertex 0, or exhaustion.
+    """First clique of size ``target`` containing vertex ``start``, or exhaustion.
 
-    Default order: descending degree with a greedy-coloring bound (branch and
-    bound). Canonical order: ascending vertex index, so the first clique found
-    is the lexicographically least one; pruning only removes subtrees that
-    cannot hold any clique of the needed size.
+    Vertices are bits, and the bit order is the static order: descending
+    degree (ties by index) in default mode, vertex index in canonical mode;
+    ``find_spectrum`` builds the rows already relabelled. Default mode is
+    Tomita-style branch and bound: each node colours its candidates class by
+    class (``_color_classes``) and branches from the highest colour down,
+    ascending inside a class, until the colour bound cannot reach the target.
+    Canonical mode branches in ascending bit order, so the first clique found
+    is the lexicographically least one; the number of colour classes and the
+    count of remaining candidates prune only subtrees that cannot hold a
+    clique of the needed size. The search is recursive, at most ``target``
+    levels deep. Its cost is the node count times the colouring, which is
+    linear in the candidates of a node, each step one big-int AND over the
+    vertex count.
     """
     nodes = 0
-    if canonical:
-        order = list(range(nverts))
-    else:
-        order = sorted(range(nverts), key=lambda v: (-adj[v].bit_count(), v))
     found: list[int] | None = None
+    full = (1 << len(adj)) - 1
+    apart = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
 
     def expand(R: list[int], P: int) -> bool:
         nonlocal nodes, found
@@ -230,7 +277,7 @@ def _clique_search(
         if P.bit_count() < need:
             return False
         if canonical:
-            if _greedy_color_bound(P, order, adj) < need:
+            if len(_color_classes(P, apart, need)) < need:
                 return False
             Q = P
             while Q:
@@ -243,37 +290,23 @@ def _clique_search(
                     return True
                 R.pop()
             return False
-        # Tomita-style: color candidates in static order, branch from the
-        # highest color down, prune once the bound cannot reach the target.
-        classes: list[int] = []
-        colored: list[tuple[int, int]] = []
-        for v in order:
-            if not (P >> v) & 1:
-                continue
-            av = adj[v]
-            for ci, cmask in enumerate(classes):
-                if not (av & cmask):
-                    classes[ci] = cmask | (1 << v)
-                    colored.append((v, ci + 1))
-                    break
-            else:
-                classes.append(1 << v)
-                colored.append((v, len(classes)))
         local = P
-        for v, color in sorted(colored, key=lambda t: -t[1]):
-            if len(R) + color < target:
-                return False
-            R.append(v)
-            if expand(R, local & adj[v]):
-                return True
-            R.pop()
-            local &= ~(1 << v)
+        for cls in reversed(_color_classes(P, apart)[need - 1:]):  # colours >= need
+            while cls:
+                bit = cls & -cls
+                cls ^= bit
+                v = bit.bit_length() - 1
+                R.append(v)
+                if expand(R, local & adj[v]):
+                    return True
+                R.pop()
+                local ^= bit
         return False
 
     old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, nverts + 1000))
+    sys.setrecursionlimit(max(old_limit, target + 1000))
     try:
-        ok = expand([0], adj[0])
+        ok = expand([start], adj[start])
     except _BudgetHit:
         return "budget", None, nodes
     finally:
@@ -310,25 +343,24 @@ def find_spectrum(
     # Orthogonality to 0 depends only on the difference, so the candidate
     # vertices are exactly the nonzero elements whose character sum vanishes.
     zero_diffs = _zero_set_ranks(S)
-    rank_list = [0] + zero_diffs  # vertex i <-> group rank rank_list[i]
-    if len(rank_list) < k:
+    if len(zero_diffs) + 1 < k:
         return SpectrumSearch(status="exhausted", certificate=None, nodes=1)
 
-    elems = [spec.element_at(r) for r in rank_list]
-    zset = set(zero_diffs)
-    n = len(rank_list)
-    adj = [0] * n
-    for i in range(n):
-        ei = elems[i]
-        for j in range(i + 1, n):
-            if (elems[j] - ei).rank() in zset:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    zero = np.zeros(spec.order, dtype=bool)
+    zero[zero_diffs] = True
+    ranks = np.array([0] + zero_diffs, dtype=np.int64)  # ascending: index order
+    adj = _orthogonality_rows(spec, ranks, zero)
+    if not canonical:
+        # Relabel so that bit order is the static order of the colouring.
+        order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
+        ranks = ranks[order]
+        adj = _orthogonality_rows(spec, ranks, zero)
+    start = int(np.flatnonzero(ranks == 0)[0])
 
-    status, clique, nodes = _clique_search(adj, n, k, budget, canonical)
+    status, clique, nodes = _clique_search(adj, start, k, budget, canonical)
     if status != "found":
         return SpectrumSearch(status=status, certificate=None, nodes=nodes)
-    spectrum = PointSet(spec, [elems[i] for i in clique])
+    spectrum = PointSet.from_ranks(spec, ranks[clique].tolist())
     cert = verify_spectral_pair(S, spectrum)
     if not isinstance(cert, SpectrumCertificate):
         raise RuntimeError(f"search produced a spectrum that fails re-verification: {cert}")

@@ -11,10 +11,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     GroupElement,
+    GroupSpec,
     PointSet,
 )
 from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER
@@ -103,6 +106,16 @@ def verify_tiling(
     )
 
 
+def _translate_ranks(spec: GroupSpec, A: PointSet) -> np.ndarray:
+    """Row u holds rank(g_u + a) for a in A, with g_u the element of rank u."""
+    ranks = np.arange(spec.order, dtype=np.int64)
+    sums = np.zeros((spec.order, len(A)), dtype=np.int64)
+    for k, (n, s) in enumerate(zip(spec.orders, spec._strides)):
+        shift = np.array([a.coords[k] for a in A.points], dtype=np.int64)
+        sums += (ranks[:, None] // s + shift) % n * s
+    return sums
+
+
 @dataclass(frozen=True)
 class ComplementSearch:
     """Outcome of a complement search: found / exhausted / budget."""
@@ -146,32 +159,26 @@ def find_complement(
         )
     need = n // m
 
-    orders, strides = spec.orders, spec._strides
-    coords_at = [spec.element_at(r).coords for r in range(n)]
-    row_mask = [0] * n
-    for u in range(n):
-        uc = coords_at[u]
-        mask = 0
-        for a in A.points:
-            r = 0
-            for x, y, nn, s in zip(a.coords, uc, orders, strides):
-                r += ((x + y) % nn) * s
-            mask |= 1 << r
-        row_mask[u] = mask
-    rows_covering = [[] for _ in range(n)]
-    for u in range(n):
-        mask = row_mask[u]
-        while mask:
-            g = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            rows_covering[g].append(u)
+    # Row u is the translate u + A: row_mask[u] masks the elements it covers,
+    # rows_at[g] the rows that cover g, and clash[u] the rows that meet row u
+    # (u among them). A row is blocked once it meets a chosen row.
+    row_cells = _translate_ranks(spec, A)
+    row_mask = [sum(1 << g for g in cells.tolist()) for cells in row_cells]
+    rows_at = [0] * n
+    for u, cells in enumerate(row_cells):
+        for g in cells.tolist():
+            rows_at[g] |= 1 << u
+    clash = [0] * n
+    for u, cells in enumerate(row_cells):
+        for g in cells.tolist():
+            clash[u] |= rows_at[g]
 
     full = (1 << n) - 1
     nodes = 0
     chosen: list[int] = []
     found: list[int] | None = None
 
-    def expand_exact_cover(cover: int) -> bool:
+    def expand_exact_cover(cover: int, blocked: int) -> bool:
         nonlocal nodes, found
         nodes += 1
         if nodes > budget:
@@ -180,27 +187,29 @@ def find_complement(
             found = list(chosen)
             return True
         # fewest-candidates-first over uncovered elements, ties to smallest g
-        best_g, best_rows = -1, None
-        uncovered = full & ~cover
-        g = 0
+        best_rows, best_count = 0, n + 1
+        free = full ^ blocked
+        uncovered = full ^ cover
         while uncovered:
-            g = (uncovered & -uncovered).bit_length() - 1
-            uncovered &= uncovered - 1
-            cands = [u for u in rows_covering[g] if not (row_mask[u] & cover)]
-            if best_rows is None or len(cands) < len(best_rows):
-                best_g, best_rows = g, cands
-                if not cands:
+            bit = uncovered & -uncovered
+            uncovered ^= bit
+            rows = rows_at[bit.bit_length() - 1] & free
+            count = rows.bit_count()
+            if count < best_count:
+                best_rows, best_count = rows, count
+                if not count:
                     break
-        if not best_rows:
-            return False
-        for u in best_rows:
+        while best_rows:
+            bit = best_rows & -best_rows
+            best_rows ^= bit
+            u = bit.bit_length() - 1
             chosen.append(u)
-            if expand_exact_cover(cover | row_mask[u]):
+            if expand_exact_cover(cover | row_mask[u], blocked | clash[u]):
                 return True
             chosen.pop()
         return False
 
-    def expand_lex(cover: int, last: int) -> bool:
+    def expand_lex(cover: int, blocked: int, last: int) -> bool:
         nonlocal nodes, found
         nodes += 1
         if nodes > budget:
@@ -210,18 +219,19 @@ def find_complement(
             return True
         if len(chosen) == need:
             return False
+        later = (full ^ blocked) & ~((2 << last) - 1)  # free rows after last
         # the smallest uncovered element must be coverable by a later offset
-        g_min = ((full & ~cover) & -(full & ~cover)).bit_length() - 1
-        if not any(
-            u > last and not (row_mask[u] & cover) for u in rows_covering[g_min]
-        ):
+        uncovered = full ^ cover
+        if not rows_at[(uncovered & -uncovered).bit_length() - 1] & later:
             return False
-        for u in range(last + 1, n):
-            if not (row_mask[u] & cover):
-                chosen.append(u)
-                if expand_lex(cover | row_mask[u], u):
-                    return True
-                chosen.pop()
+        while later:
+            bit = later & -later
+            later ^= bit
+            u = bit.bit_length() - 1
+            chosen.append(u)
+            if expand_lex(cover | row_mask[u], blocked | clash[u], u):
+                return True
+            chosen.pop()
         return False
 
     old_limit = sys.getrecursionlimit()
@@ -229,9 +239,9 @@ def find_complement(
     try:
         chosen.append(0)
         ok = (
-            expand_lex(row_mask[0], 0)
+            expand_lex(row_mask[0], clash[0], 0)
             if canonical
-            else expand_exact_cover(row_mask[0])
+            else expand_exact_cover(row_mask[0], clash[0])
         )
     except _BudgetHit:
         return ComplementSearch(status="budget", certificate=None, nodes=nodes)

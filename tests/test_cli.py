@@ -259,3 +259,40 @@ def test_unknown_command_exits_2(files, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"], capsys)
     assert exc.value.code == 2
+
+
+_INT_FLAGS = [
+    ["harness", "--group", "2", "--budget"],
+    ["harness", "--group", "2", "--seed"],
+    ["harness", "--group", "2", "--threads"],
+    ["pipeline", "A.box", "B.box", "--k"],
+    ["pipeline", "A.box", "B.box", "--k", "2", "--max-k"],
+]
+
+
+@pytest.mark.parametrize("prefix", _INT_FLAGS, ids=lambda argv: argv[-1])
+@pytest.mark.parametrize("bad", ["1_0", "١٢", "１２", "1 "])
+def test_integer_flags_take_only_ascii_digits(capsys, prefix, bad):
+    # int() would take each of these: "1_0", Arabic-Indic and fullwidth
+    # digits, and a trailing space.
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*prefix, bad], capsys)
+    assert exc.value.code == 2
+    assert "invalid ascii_int value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [("--budget", "+300"), ("--seed", "007")])
+def test_integer_flags_take_a_sign_and_leading_zeros(capsys, flag, value):
+    code, out = run_cli(["harness", "--group", "2", flag, value], capsys)
+    plain = run_cli(["harness", "--group", "2", flag, str(int(value))], capsys)
+    assert (code, out) == plain
+
+
+def test_ascii_int_rejects_what_int_accepts():
+    from spectile.setfiles import ascii_int
+
+    assert ascii_int("-12") == -12
+    for text in ("1_000", "١", " 3", "3\n"):
+        int(text)  # accepted by int()
+        with pytest.raises(ValueError, match="ASCII digits"):
+            ascii_int(text)
