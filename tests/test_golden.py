@@ -34,6 +34,9 @@ CASES: dict[str, list[str]] = {
     "check-spectral-4x4-ok": ["check-spectral", "4x4_square.set", "4x4_grid.set"],
     "check-spectral-z12-ok": ["check-spectral", "z12_interval4.set", "z12_spectrum4.set"],
     "check-spectral-cardinality": ["check-spectral", "z12_S6.set", "z12_spectrum4.set"],
+    # exponents with a repeated prime factor: 2520 = 2^3 3^2 5 7, 72 = 2^3 3^2
+    "check-spectral-z2520-ok": ["check-spectral", "z2520_S12.set", "z2520_L12.set"],
+    "check-spectral-z2520-pair": ["check-spectral", "z2520_S12.set", "z2520_L12_bad.set"],
     # find-spectrum: found and exhausted, default and canonical order
     "find-spectrum-z12-found": ["find-spectrum", "z12_found.set"],
     "find-spectrum-z12-found-canonical": ["find-spectrum", "z12_found.set", "--canonical"],
@@ -50,6 +53,14 @@ CASES: dict[str, list[str]] = {
     ],
     "find-spectrum-2x2x4-none": ["find-spectrum", "2x2x4_none.set"],
     "find-spectrum-2x2x4-none-canonical": ["find-spectrum", "2x2x4_none.set", "--canonical"],
+    "find-spectrum-z72-found": ["find-spectrum", "z72_found24.set"],
+    "find-spectrum-z72-found-canonical": ["find-spectrum", "z72_found24.set", "--canonical"],
+    "find-spectrum-z72-none": ["find-spectrum", "z72_none15.set"],
+    "find-spectrum-z72-none-canonical": ["find-spectrum", "z72_none15.set", "--canonical"],
+    "find-spectrum-6x12-found": ["find-spectrum", "6x12_found24.set"],
+    "find-spectrum-6x12-found-canonical": ["find-spectrum", "6x12_found24.set", "--canonical"],
+    "find-spectrum-6x12-none": ["find-spectrum", "6x12_none15.set"],
+    "find-spectrum-6x12-none-canonical": ["find-spectrum", "6x12_none15.set", "--canonical"],
     "find-spectrum-z64-interval16": ["find-spectrum", "z64_interval16.set"],
     "find-spectrum-z64-interval16-canonical": [
         "find-spectrum", "z64_interval16.set", "--canonical",
