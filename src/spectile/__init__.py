@@ -1,6 +1,6 @@
 """Exact spectral-set and tiling verification in finite abelian groups."""
 
-from .cyclotomic import CyclotomicSum, IntPolynomial, cyclotomic_poly
+from .cyclotomic import CyclotomicSum, cyclotomic_poly
 from .diagonal import (
     DiagonalPair,
     check_diagonal_spectral,
@@ -46,7 +46,6 @@ __all__ = [
     "DiagonalPair",
     "GroupElement",
     "GroupSpec",
-    "IntPolynomial",
     "PointSet",
     "SpectrumCertificate",
     "TilingCertificate",

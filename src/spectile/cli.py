@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 verified-true / witness found; 1 verified-false / exhausted
-with proof; 2 usage, parse, or precondition error; 3 work budget exceeded.
+with proof; 2 usage, parse, or precondition error; 3 work budget exceeded;
+4 two verification routes disagree (``diagonal-check``, ``product-diagonal``,
+``harness``), which is a bug signal, reported on stderr as well.
 Output is byte-deterministic for fixed inputs and flags; ``--canonical``
 additionally pins search witnesses to the lexicographically least one.
 """
@@ -29,6 +31,7 @@ _EXIT_TRUE = 0
 _EXIT_FALSE = 1
 _EXIT_USAGE = 2
 _EXIT_BUDGET = 3
+_EXIT_DISAGREE = 4
 
 
 def _points_json(ps: PointSet) -> list[list[int]]:
@@ -208,8 +211,7 @@ def _cmd_diagonal_check(args) -> tuple[int, list[str], dict]:
         f"agree={_yesno(res.agree)}"
     ]
     if not res.agree:
-        lines.append("disagreement: the two verification routes differ; see report")
-        return _EXIT_FALSE, lines, payload
+        return _EXIT_DISAGREE, lines, payload
     return (_EXIT_TRUE if res.multiset else _EXIT_FALSE), lines, payload
 
 
@@ -229,8 +231,9 @@ def _cmd_product_diagonal(args) -> tuple[int, list[str], dict]:
         "product_spectral": res.spectral_ok,
         "agree": res.agree,
     }
-    ok = res.agree and res.tiling_ok and res.spectral_ok
-    return (_EXIT_TRUE if ok else _EXIT_FALSE), lines, payload
+    if not res.agree:
+        return _EXIT_DISAGREE, lines, payload
+    return (_EXIT_TRUE if res.tiling_ok else _EXIT_FALSE), lines, payload
 
 
 def _cmd_harness(args) -> tuple[int, list[str], dict]:
@@ -251,7 +254,7 @@ def _cmd_harness(args) -> tuple[int, list[str], dict]:
         "lines": list(report.lines),
         "seed": report.seed,
     }
-    code = _EXIT_TRUE if report.disagreements == 0 else _EXIT_FALSE
+    code = _EXIT_TRUE if report.disagreements == 0 else _EXIT_DISAGREE
     return code, report.render().splitlines(), payload
 
 
@@ -380,6 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     else:
         for line in lines:
             print(line)
+    if code == _EXIT_DISAGREE:
+        print("disagreement: the verification routes differ; see the report", file=sys.stderr)
     return code
 
 

@@ -2,135 +2,95 @@
 
 The kernel of every orthogonality check: a sum ``sum_k counts[k] * zeta_L^k``
 vanishes iff the counts polynomial is divisible by the L-th cyclotomic
-polynomial. Since ``Phi_L`` is monic, the remainder stays in the integers and
-the zero test is exact. Coefficients are Python ints throughout, so nothing
-can silently wrap.
+polynomial. With r = rad(L) the test runs in degree phi(r): the sum splits
+into L/r slices, each a sum of r-th roots of unity, and vanishes iff every
+slice leaves remainder 0 modulo the monic ``Phi_r``. ``Phi_n`` itself is the
+Moebius product of the binomials ``x^d - 1`` over the divisors d of n.
+Coefficients are Python ints throughout, so nothing can silently wrap.
+
+One constant bounds the work: a zero test at L costs L + phi(r)(r - phi(r))
+steps (the slices plus the reduction table), and building ``Phi_n`` costs
+about n * 2^k for k distinct prime factors (2^k binomials, each linear in
+the degree). Above ``MAX_KERNEL_COST`` both raise ``BudgetExceededError``.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterable
 
 from .groups import BudgetExceededError
 
-MAX_CYCLOTOMIC_INDEX = 10**6
+MAX_KERNEL_COST = 10**7
 
 
-class IntPolynomial:
-    """Integer polynomial, coefficients ascending, trailing zeros stripped."""
+def _check_cost(what: str, cost: int) -> None:
+    if cost > MAX_KERNEL_COST:
+        raise BudgetExceededError(f"{what} costs {cost} > {MAX_KERNEL_COST} steps")
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int]):
-        cs = [int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def x_power_minus_one(cls, n: int) -> IntPolynomial:
-        return cls([-1] + [0] * (n - 1) + [1])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        if self.is_zero or other.is_zero:
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def divmod_monic(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-        """School division by a monic divisor; exact over the integers."""
-        if not divisor.is_monic:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        quot = [0] * max(len(rem) - dd, 0)
-        for top in range(len(rem) - 1, dd - 1, -1):
-            c = rem[top]
-            if c:
-                quot[top - dd] = c
-                for j, b in enumerate(divisor.coeffs):
-                    rem[top - dd + j] -= c * b
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"IntPolynomial({list(self.coeffs)!r})"
+def _prime_factors(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_poly(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial Phi_n, monic of degree phi(n).
+def cyclotomic_poly(n: int) -> tuple[int, ...]:
+    """Ascending coefficients of Phi_n, monic of degree phi(n).
 
-    Computed by exact division of ``x^n - 1`` by the product of Phi_d over the
-    proper divisors d of n; results are memoized for the process lifetime.
+    Phi_n is the product over squarefree e | n of (x^(n/e) - 1)^mu(e). The
+    factors with mu = +1 are multiplied out by shift and subtract, then each
+    factor with mu = -1 is divided out exactly; every step is linear in the
+    degree. Results are memoized for the process lifetime.
     """
     if n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    if n > MAX_CYCLOTOMIC_INDEX:
-        raise BudgetExceededError(
-            f"cyclotomic index {n} exceeds {MAX_CYCLOTOMIC_INDEX}"
-        )
-    if n == 1:
-        return IntPolynomial([-1, 1])
-    den = IntPolynomial([1])
-    for d in range(1, n // 2 + 1):
-        if n % d == 0:
-            den = den * cyclotomic_poly(d)
-    quot, rem = IntPolynomial.x_power_minus_one(n).divmod_monic(den)
-    if not rem.is_zero:
-        raise AssertionError(f"x^{n}-1 not divisible by product of lower Phi_d")
-    return quot
+    _check_cost(f"Phi_{n}", n)
+    primes = _prime_factors(n)
+    _check_cost(f"Phi_{n}: n * 2^(prime factors)", n << len(primes))
+    squarefree = [(1, 1)]  # (e, mu(e))
+    for p in primes:
+        squarefree += [(e * p, -mu) for e, mu in squarefree]
+    poly = [1]
+    for e, mu in squarefree:
+        if mu == 1:  # poly * (x^d - 1)
+            d = n // e
+            poly = [a - b for a, b in zip_longest([0] * d + poly, poly, fillvalue=0)]
+    for e, mu in squarefree:
+        if mu == -1:  # poly / (x^d - 1): q[i] = q[i - d] - poly[i]
+            d = n // e
+            q = [-c for c in poly[:d]]
+            for i in range(d, len(poly) - d):
+                q.append(q[i - d] - poly[i])
+            poly = q
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(L: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """x^j mod Phi_L for deg <= j < L, as coefficient rows of length deg."""
-    phi = cyclotomic_poly(L)
-    deg = phi.degree
-    base = tuple(-c for c in phi.coeffs[:deg])  # x^deg mod Phi_L
-    rows: list[tuple[int, ...]] = []
-    row = base
-    for _ in range(deg, L):
-        rows.append(row)
-        top = row[deg - 1]
-        row = tuple((row[i - 1] if i else 0) + top * base[i] for i in range(deg))
-    return deg, tuple(rows)
-
-
-@lru_cache(maxsize=1 << 16)
-def _is_zero_cached(L: int, counts: tuple[int, ...]) -> bool:
-    deg, rows = _reduction_rows(L)
-    rem = list(counts[:deg])
-    for j in range(deg, L):
-        c = counts[j]
-        if c:
-            row = rows[j - deg]
-            for i in range(deg):
-                rem[i] += c * row[i]
-    return not any(rem)
+def _reduction_table(L: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """(m, phi(r), rows) with r = rad(L), m = L/r, rows[k] = x^(phi(r)+k) mod Phi_r."""
+    _check_cost(f"a zero test at L={L}", L)
+    primes = _prime_factors(L)
+    r = math.prod(primes)
+    deg = math.prod(p - 1 for p in primes)
+    _check_cost(f"a zero test at L={L}, r=rad(L)={r}: L + phi(r)(r - phi(r))", L + deg * (r - deg))
+    base = tuple(-c for c in cyclotomic_poly(r)[:deg])  # x^deg mod Phi_r
+    rows = [base] if r > 1 else []
+    while len(rows) < r - deg:  # x * row mod Phi_r
+        row = rows[-1]
+        rows.append(tuple(a + row[-1] * b for a, b in zip((0,) + row[:-1], base)))
+    return L // r, deg, tuple(rows)
 
 
 class CyclotomicSum:
@@ -178,7 +138,23 @@ class CyclotomicSum:
 
     def is_zero(self) -> bool:
         """Exact test: does the sum equal 0 as an algebraic number?"""
-        return _is_zero_cached(self.order, self.counts)
+        # With r = rad(L) and m = L/r, zeta_L^m = zeta_r and zeta_L has
+        # minimal polynomial x^m - zeta_r over Q(zeta_r), because
+        # [Q(zeta_L):Q(zeta_r)] = phi(L)/phi(r) = m. So 1, zeta_L, ...,
+        # zeta_L^(m-1) are independent over Q(zeta_r), and the sum
+        # sum_j zeta_L^j * sum_t counts[j + m t] zeta_r^t vanishes iff every
+        # slice counts[j::m] (j < m) reduces to 0 modulo Phi_r.
+        m, deg, rows = _reduction_table(self.order)
+        counts = self.counts
+        for j in range(m):
+            part = counts[j::m]
+            rem = part[:deg]
+            for c, row in zip(part[deg:], rows):
+                if c:
+                    rem = [a + c * b for a, b in zip(rem, row)]
+            if any(rem):
+                return False
+        return True
 
     def approx_complex(self) -> complex:
         """Double-precision value; cross-validation oracle, never the decider."""
@@ -201,13 +177,3 @@ class CyclotomicSum:
     def __repr__(self) -> str:
         support = {k: c for k, c in enumerate(self.counts) if c}
         return f"CyclotomicSum(L={self.order}, {support!r})"
-
-
-def is_zero(s: CyclotomicSum) -> bool:
-    """Module-level alias for :meth:`CyclotomicSum.is_zero`."""
-    return s.is_zero()
-
-
-def approx_complex(s: CyclotomicSum) -> complex:
-    """Module-level alias for :meth:`CyclotomicSum.approx_complex`."""
-    return s.approx_complex()

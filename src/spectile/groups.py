@@ -58,10 +58,6 @@ class GroupSpec:
         self._strides = tuple(strides)
         self._char_weights = tuple(self.exponent // n for n in facs)
 
-    @property
-    def ndim(self) -> int:
-        return len(self.orders)
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -181,16 +177,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"Elem({','.join(map(str, self.coords))})"
-
-
-def add(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Coordinatewise sum mod the factor orders."""
-    return g + h
-
-
-def neg(g: GroupElement) -> GroupElement:
-    """Coordinatewise negation mod the factor orders."""
-    return -g
 
 
 class PointSet:

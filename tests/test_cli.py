@@ -296,3 +296,66 @@ def test_ascii_int_rejects_what_int_accepts():
         int(text)  # accepted by int()
         with pytest.raises(ValueError, match="ASCII digits"):
             ascii_int(text)
+
+
+@pytest.fixture
+def flipped_multiset_route(monkeypatch):
+    """Make the multiset route report the opposite verdict."""
+    import dataclasses
+
+    from spectile import diagonal
+
+    real = diagonal.sum_multiset_check
+
+    def flipped(*args, **kwargs):
+        report = real(*args, **kwargs)
+        return dataclasses.replace(report, ok=not report.ok)
+
+    monkeypatch.setattr(diagonal, "sum_multiset_check", flipped)
+
+
+def run_cli_code(argv: list[str]) -> int:
+    from spectile.cli import main
+
+    return main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["diagonal-check", "P_graph"], "agree=no"),
+        (["product-diagonal", "S01", "L02"], "agree=no"),
+        (["harness", "--group", "2"], "disagree kind="),
+    ],
+    ids=["diagonal-check", "product-diagonal", "harness"],
+)
+def test_route_disagreement_exits_4(files, capsys, flipped_multiset_route, argv, report):
+    code = run_cli_code([files.get(a, a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert report in captured.out
+    assert captured.err.startswith("disagreement: ")
+
+
+def _two_point_case(tmp_path, L: int) -> list[str]:
+    S = tmp_path / "S.set"
+    S.write_text(f"group {L}\n0\n{L // 2}\n", encoding="utf-8")
+    spectrum = tmp_path / "L.set"
+    spectrum.write_text(f"group {L}\n0\n1\n", encoding="utf-8")
+    return ["check-spectral", str(S), str(spectrum)]
+
+
+def test_zero_test_cost_bound_refuses_z30030(tmp_path, capsys):
+    from spectile.cyclotomic import MAX_KERNEL_COST
+
+    code = run_cli_code(_two_point_case(tmp_path, 30030))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert str(MAX_KERNEL_COST) in captured.err
+
+
+def test_zero_test_cost_bound_accepts_z13860(tmp_path, capsys):
+    code, out = run_cli(_two_point_case(tmp_path, 13860), capsys)
+    assert code == 0
+    assert out == "ok: spectral pair group=13860 |S|=2 pairs=1\n"
