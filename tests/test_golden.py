@@ -24,6 +24,17 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
 
 CASES: dict[str, list[str]] = {
+    # check-tiling: passes, coverage failures (the first element with count 0,
+    # also when an element covered twice comes earlier), cardinality, budget
+    "check-tiling-z6-ok": ["check-tiling", "z6_A.set", "z6_B.set"],
+    "check-tiling-2x4-ok": ["check-tiling", "2x4_A.set", "2x4_B.set"],
+    "check-tiling-z4-coverage": ["check-tiling", "z4_A.set", "z4_A.set"],
+    "check-tiling-z4-coverage-json": ["check-tiling", "z4_A.set", "z4_A.set", "--json"],
+    "check-tiling-z4-coverage-twice-first": ["check-tiling", "z4_B.set", "z4_B.set"],
+    "check-tiling-2x4-coverage": ["check-tiling", "2x4_A.set", "2x4_Bbad.set"],
+    "check-tiling-cardinality": ["check-tiling", "z6_A.set", "z6_A.set"],
+    "check-tiling-cardinality-json": ["check-tiling", "z6_A.set", "z6_A.set", "--json"],
+    "check-tiling-budget": ["check-tiling", "z6_A.set", "z6_B.set", "--budget", "5"],
     # check-spectral: failures that name a pair, a pass, a cardinality miss
     "check-spectral-z12-pair": ["check-spectral", "z12_S6.set", "z12_L6_bad.set"],
     "check-spectral-2x6-pair": ["check-spectral", "2x6_S6.set", "2x6_L6_bad.set"],
