@@ -6,7 +6,6 @@ from .diagonal import (
     check_diagonal_spectral,
     diagonal_subgroup,
     product_with_diagonal,
-    antidiagonal_transversal_check,
     run_agreement_harness,
     sum_multiset_check,
 )
@@ -23,15 +22,12 @@ from .lifting import (
     box_product,
     lift,
     product_lift_identity,
-    spectral_in_quotient,
     tiling_product_pipeline,
     to_quotient,
 )
 from .spectral import (
     SpectrumCertificate,
-    are_orthogonal,
     char_sum_on_set,
-    character_pairing,
     find_spectrum,
     verify_spectral_pair,
 )
@@ -49,11 +45,8 @@ __all__ = [
     "PointSet",
     "SpectrumCertificate",
     "TilingCertificate",
-    "antidiagonal_transversal_check",
-    "are_orthogonal",
     "box_product",
     "char_sum_on_set",
-    "character_pairing",
     "check_diagonal_spectral",
     "cyclotomic_poly",
     "diagonal_subgroup",
@@ -65,7 +58,6 @@ __all__ = [
     "product_lift_identity",
     "product_with_diagonal",
     "run_agreement_harness",
-    "spectral_in_quotient",
     "sum_coverage",
     "sum_multiset_check",
     "tiling_product_pipeline",

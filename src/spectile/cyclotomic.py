@@ -111,31 +111,6 @@ class CyclotomicSum:
         self.order = order
         self.counts = cs
 
-    @classmethod
-    def from_exponents(cls, order: int, exponents: Iterable[int]) -> CyclotomicSum:
-        counts = [0] * order
-        for e in exponents:
-            counts[e % order] += 1
-        return cls(order, counts)
-
-    def _require_same_order(self, other: CyclotomicSum) -> None:
-        if self.order != other.order:
-            raise ValueError(f"root order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: CyclotomicSum) -> CyclotomicSum:
-        self._require_same_order(other)
-        return CyclotomicSum(self.order, [a + b for a, b in zip(self.counts, other.counts)])
-
-    def __sub__(self, other: CyclotomicSum) -> CyclotomicSum:
-        self._require_same_order(other)
-        return CyclotomicSum(self.order, [a - b for a, b in zip(self.counts, other.counts)])
-
-    def rotated(self, r: int) -> CyclotomicSum:
-        """Multiply by the unit zeta_L^r (cyclic shift of the exponents)."""
-        L = self.order
-        r %= L
-        return CyclotomicSum(L, self.counts[-r:] + self.counts[:-r] if r else self.counts)
-
     def is_zero(self) -> bool:
         """Exact test: does the sum equal 0 as an algebraic number?"""
         # With r = rad(L) and m = L/r, zeta_L^m = zeta_r and zeta_L has

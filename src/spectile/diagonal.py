@@ -1,6 +1,6 @@
 """The diagonal subgroup of G x G and the criteria built on it.
 
-Three interlocking facts are implemented and cross-checked here, for a subset
+Three interlocking facts relate these subgroups to tiling, for a subset
 ``P`` of ``G x G`` with ``|P| = |G|``:
 
 * ``(P, D)`` is a spectral pair, with ``D = {(g, g)}`` the diagonal subgroup,
@@ -10,9 +10,11 @@ Three interlocking facts are implemented and cross-checked here, for a subset
 * the multiset condition holds iff ``P`` picks exactly one representative of
   each coset of the antidiagonal ``{(g, -g)}``.
 
-The sum-multiset test is the fast canonical path; the full pairwise-character
-verification is kept as an independent oracle and the agreement harness runs
-both on streams of candidates.
+The first two are checked here: the sum-multiset test is the fast canonical
+path, the full pairwise-character verification is kept as an independent
+oracle, and the agreement harness runs both on streams of candidates. The
+third holds because ``a + b`` is constant on each antidiagonal coset; the
+tests check it against an enumeration of the cosets.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .cyclotomic import CyclotomicSum
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
@@ -35,12 +36,14 @@ from .groups import (
     product_group,
     product_point_set,
 )
-from .spectral import (
-    SpectrumCertificate,
-    character_pairing,
-    verify_spectral_pair,
+from .spectral import SpectrumCertificate, verify_spectral_pair
+from .tiling import (
+    TilingCertificate,
+    TilingFailure,
+    _first_zero,
+    _sum_table,
+    verify_tiling,
 )
-from .tiling import TilingCertificate, TilingFailure, verify_tiling
 
 # Cap on character evaluations (pairs times points) for the full pairwise
 # verification route; beyond it only the multiset route runs.
@@ -111,7 +114,8 @@ class MultisetReport:
 def sum_multiset_check(P: PointSet, base: GroupSpec | None = None) -> MultisetReport:
     """Does {a + b : (a, b) in P} cover the base group exactly once?
 
-    Requires |P| = |G|; the ambient of P must be G x G.
+    Requires |P| = |G|; the ambient of P must be G x G. A failure names the
+    first element of G (in enumeration order) that no pair sums to.
     """
     if base is None:
         base = _infer_base(P.group)
@@ -120,81 +124,14 @@ def sum_multiset_check(P: PointSet, base: GroupSpec | None = None) -> MultisetRe
     n = base.order
     if len(P) != n:
         raise ValueError(f"|P| = {len(P)} but |G| = {n}")
-    d = len(base.orders)
-    orders = base.orders
-    strides = base._strides
-    table = [0] * n
-    for p in P.points:
-        pc = p.coords
-        r = 0
-        for i in range(d):
-            r += ((pc[i] + pc[d + i]) % orders[i]) * strides[i]
-        table[r] += 1
-    witness = None
-    for r, c in enumerate(table):
-        if c == 0:
-            witness = (r, c)
-            break
-        if c != 1 and witness is None:
-            witness = (r, c)
-    if witness is None:
-        return MultisetReport(ok=True, multiplicities=tuple(table), first_defect=None)
-    r, c = witness
+    coords = [p.coords for p in P.points]
+    table = _sum_table(base, zip(coords, coords), len(base.orders))
+    r = _first_zero(table)
     return MultisetReport(
-        ok=False,
+        ok=r is None,
         multiplicities=tuple(table),
-        first_defect=(base.element_at(r), c),
+        first_defect=None if r is None else (base.element_at(r), 0),
     )
-
-
-def antidiagonal_transversal_check(P: PointSet, base: GroupSpec | None = None) -> bool:
-    """Does P contain exactly one element of each antidiagonal coset?
-
-    ``a + b`` is constant on each coset of {(g, -g)}, so P is a transversal
-    iff those keys are pairwise distinct. Requires |P| = |G|.
-    """
-    if base is None:
-        base = _infer_base(P.group)
-    elif P.group.orders != base.orders + base.orders:
-        raise ValueError("P does not live in base x base")
-    if len(P) != base.order:
-        raise ValueError(f"|P| = {len(P)} but |G| = {base.order}")
-    d = len(base.orders)
-    orders = base.orders
-    strides = base._strides
-    keys = set()
-    for p in P.points:
-        pc = p.coords
-        r = 0
-        for i in range(d):
-            r += ((pc[i] + pc[d + i]) % orders[i]) * strides[i]
-        if r in keys:
-            return False
-        keys.add(r)
-    return True
-
-
-def char_sum_of_pair_sums(
-    P: PointSet, g: GroupElement, base: GroupSpec | None = None
-) -> CyclotomicSum:
-    """The exact sum of chi_g(a + b) over (a, b) in P, computed in the base group.
-
-    Independent route for the identity chi_(g,g)(P) = sum_i chi_g(a_i + b_i):
-    here each pair is folded into the base group before a single character
-    evaluation, whereas the ambient route evaluates the product character.
-    """
-    if base is None:
-        base = _infer_base(P.group)
-    if g.group != base:
-        raise ValueError("character must live in the base group")
-    d = len(base.orders)
-    L = base.exponent
-    counts = [0] * L
-    for p in P.points:
-        a = GroupElement._trusted(base, p.coords[:d])
-        b = GroupElement._trusted(base, p.coords[d:])
-        counts[character_pairing(g, a + b)] += 1
-    return CyclotomicSum(L, counts)
 
 
 @dataclass(frozen=True)

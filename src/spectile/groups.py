@@ -294,30 +294,6 @@ def product_group(g1: GroupSpec, g2: GroupSpec) -> GroupSpec:
     return GroupSpec(g1.orders + g2.orders)
 
 
-def pair_elements(
-    a: GroupElement, b: GroupElement, product: GroupSpec | None = None
-) -> GroupElement:
-    """Concatenate coordinates into an element of the product group."""
-    if product is None:
-        product = product_group(a.group, b.group)
-    elif product.orders != a.group.orders + b.group.orders:
-        raise ValueError("product spec does not match the paired factors")
-    return GroupElement._trusted(product, a.coords + b.coords)
-
-
-def unpair_element(
-    e: GroupElement, left: GroupSpec, right: GroupSpec
-) -> tuple[GroupElement, GroupElement]:
-    """Invert :func:`pair_elements`."""
-    if e.group.orders != left.orders + right.orders:
-        raise ValueError("element does not live in the given product group")
-    d = len(left.orders)
-    return (
-        GroupElement._trusted(left, e.coords[:d]),
-        GroupElement._trusted(right, e.coords[d:]),
-    )
-
-
 def format_element(el: GroupElement) -> str:
     """Compact rendering: ``5`` for one factor, ``(1,2)`` for several."""
     if len(el.coords) == 1:

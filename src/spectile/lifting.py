@@ -23,12 +23,7 @@ from .groups import (
     GroupSpec,
     PointSet,
 )
-from .spectral import (
-    DEFAULT_SEARCH_NODES,
-    SpectrumCertificate,
-    SpectrumSearch,
-    verify_spectral_pair,
-)
+from .spectral import SpectrumCertificate, verify_spectral_pair
 from .tiling import verify_tiling
 
 DEFAULT_MAX_LIFT = 4
@@ -155,23 +150,6 @@ def to_quotient(A: BoxedSet, moduli: Iterable[int]) -> PointSet:
     return PointSet._from_sorted(
         spec, tuple(GroupElement._trusted(spec, p) for p in A.points)
     )
-
-
-def spectral_in_quotient(
-    C: BoxedSet,
-    moduli: Iterable[int],
-    budget: int = DEFAULT_SEARCH_NODES,
-    canonical: bool = False,
-) -> SpectrumSearch:
-    """Spectrum search for the quotient image of C.
-
-    A certificate here witnesses a rational spectrum {lambda/m} for C as a
-    subset of Z^d. A ``exhausted`` outcome rules out spectra only in this one
-    quotient; it decides nothing about Z^d itself.
-    """
-    from .spectral import find_spectrum
-
-    return find_spectrum(to_quotient(C, moduli), budget=budget, canonical=canonical)
 
 
 def scaled_diagonal_spectrum(dims: Sequence[int], k: int) -> PointSet:

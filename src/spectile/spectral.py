@@ -11,7 +11,6 @@ vanishing of one exact character sum.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -28,17 +27,6 @@ _NUMPY_MIN_POINTS = 512
 
 DEFAULT_SEARCH_NODES = 2_000_000
 MAX_SEARCH_ORDER = 4096
-
-
-def character_pairing(h: GroupElement, g: GroupElement) -> int:
-    """Exponent k with chi_h(g) = zeta_L^k, L the ambient exponent."""
-    if h.group != g.group:
-        raise ValueError("character and argument live in different groups")
-    spec = h.group
-    return (
-        sum(w * a * b for w, a, b in zip(spec._char_weights, h.coords, g.coords))
-        % spec.exponent
-    )
 
 
 @lru_cache(maxsize=8)
@@ -61,11 +49,6 @@ def char_sum_on_set(S: PointSet, h: GroupElement) -> CyclotomicSum:
     for p in S.points:
         counts[sum(a * b for a, b in zip(wh, p.coords)) % L] += 1
     return CyclotomicSum(L, counts)
-
-
-def are_orthogonal(S: PointSet, h1: GroupElement, h2: GroupElement) -> bool:
-    """Do the characters of h1 and h2 restrict orthogonally to S?"""
-    return char_sum_on_set(S, h1 - h2).is_zero()
 
 
 @dataclass(frozen=True)
@@ -175,10 +158,6 @@ class SpectrumSearch:
     detail: str = ""
 
 
-class _BudgetHit(Exception):
-    pass
-
-
 # Row blocks of the graph build hold at most this many entries, so its
 # temporaries stay at a few hundred kB whatever the vertex count.
 _GRAPH_BLOCK_ENTRIES = 1 << 15
@@ -253,65 +232,56 @@ def _clique_search(
     Canonical mode branches in ascending bit order, so the first clique found
     is the lexicographically least one; the number of colour classes and the
     count of remaining candidates prune only subtrees that cannot hold a
-    clique of the needed size. The search is recursive, at most ``target``
-    levels deep. Its cost is the node count times the colouring, which is
-    linear in the candidates of a node, each step one big-int AND over the
-    vertex count.
+    clique of the needed size. Both modes walk the tree depth first on one
+    explicit stack and differ only in the branch masks a node computes. The
+    cost is the node count times the colouring, which is linear in the
+    candidates of a node, each step one big-int AND over the vertex count.
     """
-    nodes = 0
-    found: list[int] | None = None
     full = (1 << len(adj)) - 1
     apart = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
 
-    def expand(R: list[int], P: int) -> bool:
-        nonlocal nodes, found
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetHit
-        if len(R) == target:
-            found = list(R)
-            return True
-        if not P:
-            return False
-        need = target - len(R)
+    def branch_masks(P: int, need: int) -> list[int]:
+        """The vertices a node branches on: the last mask first, each ascending."""
         if P.bit_count() < need:
-            return False
+            return []
         if canonical:
             if len(_color_classes(P, apart, need)) < need:
-                return False
-            Q = P
-            while Q:
-                v = (Q & -Q).bit_length() - 1
-                Q &= Q - 1
-                if Q.bit_count() + 1 < need:  # too few candidates remain
-                    return False
-                R.append(v)
-                if expand(R, P & adj[v] & ~((1 << (v + 1)) - 1)):
-                    return True
-                R.pop()
-            return False
-        local = P
-        for cls in reversed(_color_classes(P, apart)[need - 1:]):  # colours >= need
-            while cls:
-                bit = cls & -cls
-                cls ^= bit
-                v = bit.bit_length() - 1
-                R.append(v)
-                if expand(R, local & adj[v]):
-                    return True
-                R.pop()
-                local ^= bit
-        return False
+                return []
+            for _ in range(need - 1):  # too few candidates follow these
+                P ^= 1 << (P.bit_length() - 1)
+            return [P]
+        return _color_classes(P, apart)[need - 1:]  # colours >= need
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, target + 1000))
-    try:
-        ok = expand([start], adj[start])
-    except _BudgetHit:
-        return "budget", None, nodes
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return ("found", found, nodes) if ok else ("exhausted", None, nodes)
+    # One frame per open node: the candidates not yet branched on, and the
+    # masks of the vertices still to branch on. Branching on v removes v from
+    # the candidates, so a child's candidates are the remaining ones adjacent
+    # to v (in canonical mode, exactly those after v).
+    clique = [start]
+    P = adj[start]
+    frames: list[list] = []
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > budget:
+            return "budget", None, nodes
+        if len(clique) == target:
+            return "found", clique, nodes
+        frames.append([P, branch_masks(P, target - len(clique))])
+        while not frames[-1][1]:
+            frames.pop()
+            if not frames:
+                return "exhausted", None, nodes
+            clique.pop()
+        frame = frames[-1]
+        masks = frame[1]
+        bit = masks[-1] & -masks[-1]
+        masks[-1] ^= bit
+        if not masks[-1]:
+            masks.pop()
+        frame[0] ^= bit
+        v = bit.bit_length() - 1
+        clique.append(v)
+        P = frame[0] & adj[v]
 
 
 def find_spectrum(

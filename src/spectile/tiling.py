@@ -8,8 +8,9 @@ over the translates of ``A``.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
+from itertools import product
+from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +24,33 @@ from .groups import (
 from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER
 
 
+def _sum_table(spec: GroupSpec, pairs: Iterable[tuple], shift: int = 0) -> list[int]:
+    """Count table over ``spec``: entry at rank(g) counts the pairs (x, y) with x + y = g.
+
+    x and y are coordinate tuples; the coordinates of y start at index
+    ``shift``, so a point p of G x G enters as (p, p) with shift d.
+    """
+    cols = tuple(
+        (i, i + shift, n, s) for i, (n, s) in enumerate(zip(spec.orders, spec._strides))
+    )
+    table = [0] * spec.order
+    for x, y in pairs:
+        r = 0
+        for i, j, n, s in cols:
+            r += (x[i] + y[j]) % n * s
+        table[r] += 1
+    return table
+
+
+def _first_zero(table: list[int]) -> int | None:
+    """Rank of the first entry 0, or None.
+
+    Callers make the table sum to its length (|A||B| = |G|, or |P| = |G|),
+    so a table with no zero is identically one, and any defect leaves a zero.
+    """
+    return table.index(0) if 0 in table else None
+
+
 def sum_coverage(
     A: PointSet, B: PointSet, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[int]:
@@ -34,17 +62,7 @@ def sum_coverage(
         raise BudgetExceededError(
             f"coverage table of size {spec.order} exceeds budget {budget}"
         )
-    orders = spec.orders
-    strides = spec._strides
-    table = [0] * spec.order
-    for a in A.points:
-        ac = a.coords
-        for b in B.points:
-            r = 0
-            for x, y, n, s in zip(ac, b.coords, orders, strides):
-                r += ((x + y) % n) * s
-            table[r] += 1
-    return table
+    return _sum_table(spec, product([a.coords for a in A.points], [b.coords for b in B.points]))
 
 
 @dataclass(frozen=True)
@@ -74,7 +92,7 @@ def verify_tiling(
     """Certificate iff every group element is covered exactly once by A + B.
 
     A coverage failure names the first element (in enumeration order) with
-    count 0 when one exists, else the first with count > 1.
+    count 0: with |A||B| = |G|, any element covered twice forces one of them.
     """
     if A.group != B.group:
         raise ValueError("summands live in different groups")
@@ -87,22 +105,15 @@ def verify_tiling(
             detail=f"|A|*|B| = {len(A)}*{len(B)} != |G| = {spec.order}",
         )
     table = sum_coverage(A, B, budget=budget)
-    witness = None
-    for r, c in enumerate(table):
-        if c == 0:
-            witness = (r, c)
-            break
-        if c != 1 and witness is None:
-            witness = (r, c)
-    if witness is None:
+    r = _first_zero(table)
+    if r is None:
         return TilingCertificate(tile=A, complement=B, coverage=tuple(table))
-    r, c = witness
     g = spec.element_at(r)
     return TilingFailure(
         kind="coverage",
-        detail=f"element {g!r} is covered {c} times",
+        detail=f"element {g!r} is covered 0 times",
         element=g,
-        count=c,
+        count=0,
     )
 
 
@@ -124,10 +135,6 @@ class ComplementSearch:
     certificate: TilingCertificate | None
     nodes: int
     detail: str = ""
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def find_complement(
@@ -174,22 +181,22 @@ def find_complement(
             clash[u] |= rows_at[g]
 
     full = (1 << n) - 1
-    nodes = 0
-    chosen: list[int] = []
-    found: list[int] | None = None
+    chosen = [0]
 
-    def expand_exact_cover(cover: int, blocked: int) -> bool:
-        nonlocal nodes, found
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetHit
-        if cover == full:
-            found = list(chosen)
-            return True
-        # fewest-candidates-first over uncovered elements, ties to smallest g
-        best_rows, best_count = 0, n + 1
+    def branch_rows(cover: int, blocked: int) -> int:
+        """The rows a node branches on, taken in ascending order."""
         free = full ^ blocked
         uncovered = full ^ cover
+        if canonical:
+            # the free rows after the last chosen one, provided one of them
+            # covers the smallest uncovered element
+            if len(chosen) == need:
+                return 0
+            later = free & ~((2 << chosen[-1]) - 1)
+            return later if rows_at[(uncovered & -uncovered).bit_length() - 1] & later else 0
+        # the free rows covering the uncovered element with fewest of them,
+        # ties to the smallest element
+        best_rows, best_count = 0, n + 1
         while uncovered:
             bit = uncovered & -uncovered
             uncovered ^= bit
@@ -199,58 +206,33 @@ def find_complement(
                 best_rows, best_count = rows, count
                 if not count:
                     break
-        while best_rows:
-            bit = best_rows & -best_rows
-            best_rows ^= bit
-            u = bit.bit_length() - 1
-            chosen.append(u)
-            if expand_exact_cover(cover | row_mask[u], blocked | clash[u]):
-                return True
-            chosen.pop()
-        return False
+        return best_rows
 
-    def expand_lex(cover: int, blocked: int, last: int) -> bool:
-        nonlocal nodes, found
+    # Depth first on an explicit stack: one frame per open node, holding its
+    # cover, its blocked rows and the rows it has still to branch on.
+    cover, blocked = row_mask[0], clash[0]
+    frames: list[list[int]] = []
+    nodes = 0
+    while True:
         nodes += 1
         if nodes > budget:
-            raise _BudgetHit
+            return ComplementSearch(status="budget", certificate=None, nodes=nodes)
         if cover == full:
-            found = list(chosen)
-            return True
-        if len(chosen) == need:
-            return False
-        later = (full ^ blocked) & ~((2 << last) - 1)  # free rows after last
-        # the smallest uncovered element must be coverable by a later offset
-        uncovered = full ^ cover
-        if not rows_at[(uncovered & -uncovered).bit_length() - 1] & later:
-            return False
-        while later:
-            bit = later & -later
-            later ^= bit
-            u = bit.bit_length() - 1
-            chosen.append(u)
-            if expand_lex(cover | row_mask[u], blocked | clash[u], u):
-                return True
+            break
+        frames.append([cover, blocked, branch_rows(cover, blocked)])
+        while not frames[-1][2]:
+            frames.pop()
+            if not frames:
+                return ComplementSearch(status="exhausted", certificate=None, nodes=nodes)
             chosen.pop()
-        return False
+        frame = frames[-1]
+        bit = frame[2] & -frame[2]
+        frame[2] ^= bit
+        u = bit.bit_length() - 1
+        chosen.append(u)
+        cover, blocked = frame[0] | row_mask[u], frame[1] | clash[u]
 
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, need + 1000))
-    try:
-        chosen.append(0)
-        ok = (
-            expand_lex(row_mask[0], clash[0], 0)
-            if canonical
-            else expand_exact_cover(row_mask[0], clash[0])
-        )
-    except _BudgetHit:
-        return ComplementSearch(status="budget", certificate=None, nodes=nodes)
-    finally:
-        sys.setrecursionlimit(old_limit)
-
-    if not ok:
-        return ComplementSearch(status="exhausted", certificate=None, nodes=nodes)
-    B = PointSet.from_ranks(spec, found)
+    B = PointSet.from_ranks(spec, chosen)
     cert = verify_tiling(A, B)
     if not isinstance(cert, TilingCertificate):
         raise RuntimeError(f"search produced a complement that fails re-verification: {cert}")

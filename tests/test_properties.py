@@ -4,18 +4,25 @@
 scan of ``find_spectrum`` tests one element per cyclic subgroup. Both are
 checked here against naive references that test every pair and every
 element, and the Galois invariance behind the second is checked directly.
+The count table behind ``sum_coverage`` and ``sum_multiset_check`` is checked
+against sums of group elements, and so is the witness both report: with
+|A||B| = |G|, or |P| = |G|, the first element (in rank order) that no pair
+sums to.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectile.groups import GroupSpec, PointSet
+from spectile.diagonal import sum_multiset_check
+from spectile.groups import GroupElement, GroupSpec, PointSet, product_group
 from spectile.spectral import _zero_set_ranks, char_sum_on_set, verify_spectral_pair
+from spectile.tiling import sum_coverage, verify_tiling
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
@@ -97,3 +104,52 @@ def test_vanishing_is_invariant_under_units(data):
     u = data.draw(st.integers(1, 10 * L).filter(lambda u: math.gcd(u, L) == 1))
     uh = spec.element([u * c for c in h.coords])
     assert char_sum_on_set(S, h).is_zero() == char_sum_on_set(S, uh).is_zero()
+
+
+def first_uncovered(spec: GroupSpec, sums) -> GroupElement | None:
+    """The lowest-rank element of spec missing from the group elements ``sums``."""
+    counts = Counter(g.rank() for g in sums)
+    return next((spec.element_at(r) for r in range(spec.order) if not counts[r]), None)
+
+
+@SETTINGS
+@given(st.data())
+def test_coverage_table_counts_the_pair_sums(data):
+    spec = data.draw(small_groups)
+    A = data.draw(subsets(spec, 12))
+    B = data.draw(subsets(spec, 12))
+    counts = Counter((a + b).rank() for a in A for b in B)
+    assert sum_coverage(A, B) == [counts[r] for r in range(spec.order)]
+
+
+@SETTINGS
+@given(st.data())
+def test_tiling_failure_names_the_first_uncovered_element(data):
+    spec = data.draw(small_groups)
+    n = spec.order
+    size = data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    rng = data.draw(st.randoms(use_true_random=False))
+    A = PointSet.from_ranks(spec, rng.sample(range(n), size))
+    B = PointSet.from_ranks(spec, rng.sample(range(n), n // size))
+    g = first_uncovered(spec, (a + b for a in A for b in B))
+    res = verify_tiling(A, B)
+    if g is None:
+        assert res.ok
+    else:
+        assert (res.ok, res.kind, res.element, res.count) == (False, "coverage", g, 0)
+
+
+@SETTINGS
+@given(st.data())
+def test_multiset_failure_names_the_first_uncovered_element(data):
+    spec = data.draw(small_groups)
+    prod = product_group(spec, spec)
+    rng = data.draw(st.randoms(use_true_random=False))
+    P = PointSet.from_ranks(prod, rng.sample(range(prod.order), spec.order))
+    d = len(spec.orders)
+    g = first_uncovered(
+        spec, (GroupElement(spec, p.coords[:d]) + GroupElement(spec, p.coords[d:]) for p in P)
+    )
+    rep = sum_multiset_check(P)
+    assert rep.ok == (g is None)
+    assert rep.first_defect == (None if g is None else (g, 0))

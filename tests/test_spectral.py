@@ -1,18 +1,17 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
-from conftest import float_char_sum
+from conftest import are_orthogonal, character_pairing, float_char_sum
 from spectile.groups import GroupSpec, PointSet
 from spectile.spectral import (
     SpectralFailure,
     SpectrumCertificate,
-    are_orthogonal,
     char_sum_on_set,
-    character_pairing,
     find_spectrum,
     verify_spectral_pair,
 )
@@ -272,8 +271,22 @@ def test_char_sum_numpy_path_matches_small_path():
     small_chunks = [PointSet(g, big.points[i::3]) for i in range(3)]
     for h in rng.sample(els, 5):
         whole = char_sum_on_set(big, h)
-        total = None
-        for chunk in small_chunks:
-            part = char_sum_on_set(chunk, h)
-            total = part if total is None else total + part
-        assert whole == total
+        parts = [char_sum_on_set(chunk, h).counts for chunk in small_chunks]
+        assert whole.counts == tuple(map(sum, zip(*parts)))
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_find_spectrum_runs_1200_levels_deep(canonical, monkeypatch):
+    # the whole of Z_1200 is its own spectrum, and its orthogonality graph is
+    # complete: one branch per level, 1,200 levels, and the search must not
+    # touch the interpreter's recursion limit
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = GroupSpec([1200])
+    G = _full_set(g)
+    res = find_spectrum(G, canonical=canonical)
+    assert res.status == "found"
+    assert res.certificate.spectrum == G
+    assert res.nodes == 1200

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -175,3 +176,18 @@ def test_mismatched_ambient_rejected():
     B = PointSet.from_coords(GroupSpec([2, 2]), [[0, 0]])
     with pytest.raises(ValueError):
         sum_coverage(A, B)
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_find_complement_runs_1200_levels_deep(canonical, monkeypatch):
+    # {0} tiles Z_1200 only with the whole group: one row per level, 1,200
+    # levels, and the search must not touch the interpreter's recursion limit
+    def refuse(limit):
+        raise AssertionError("the search changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    g = GroupSpec([1200])
+    res = find_complement(PointSet.from_ranks(g, [0]), canonical=canonical)
+    assert res.status == "found"
+    assert res.certificate.complement.ranks() == tuple(range(1200))
+    assert res.nodes == 1200
