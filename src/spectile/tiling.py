@@ -9,6 +9,7 @@ over the translates of ``A``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -24,15 +25,22 @@ from .groups import (
 from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER
 
 
+@lru_cache(maxsize=64)
+def _table_columns(spec: GroupSpec, shift: int) -> tuple[tuple[int, int, int, int], ...]:
+    # (index in x, index in y, order, stride) per factor. Cached: building it
+    # costs about as much as a whole 6-point table, and the agreement
+    # harness builds ~10^5 such tables.
+    d = len(spec.orders)
+    return tuple(zip(range(d), range(shift, shift + d), spec.orders, spec._strides))
+
+
 def _sum_table(spec: GroupSpec, pairs: Iterable[tuple], shift: int = 0) -> list[int]:
     """Count table over ``spec``: entry at rank(g) counts the pairs (x, y) with x + y = g.
 
     x and y are coordinate tuples; the coordinates of y start at index
     ``shift``, so a point p of G x G enters as (p, p) with shift d.
     """
-    cols = tuple(
-        (i, i + shift, n, s) for i, (n, s) in enumerate(zip(spec.orders, spec._strides))
-    )
+    cols = _table_columns(spec, shift)
     table = [0] * spec.order
     for x, y in pairs:
         r = 0
