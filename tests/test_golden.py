@@ -48,6 +48,14 @@ CASES: dict[str, list[str]] = {
     # exponents with a repeated prime factor: 2520 = 2^3 3^2 5 7, 72 = 2^3 3^2
     "check-spectral-z2520-ok": ["check-spectral", "z2520_S12.set", "z2520_L12.set"],
     "check-spectral-z2520-pair": ["check-spectral", "z2520_S12.set", "z2520_L12_bad.set"],
+    # the 4x4 box lifted at k=2, read in 8^4, against its scaled diagonal
+    # spectrum (256 points, 32,640 pairs), and with one spectrum point moved
+    "check-spectral-lift4x4-ok": [
+        "check-spectral", "lift4x4k2_set256.set", "lift4x4k2_diag256.set",
+    ],
+    "check-spectral-lift4x4-pair": [
+        "check-spectral", "lift4x4k2_set256.set", "lift4x4k2_diag256_moved.set",
+    ],
     # find-spectrum: found and exhausted, default and canonical order
     "find-spectrum-z12-found": ["find-spectrum", "z12_found.set"],
     "find-spectrum-z12-found-canonical": ["find-spectrum", "z12_found.set", "--canonical"],
@@ -64,6 +72,10 @@ CASES: dict[str, list[str]] = {
     ],
     "find-spectrum-2x2x4-none": ["find-spectrum", "2x2x4_none.set"],
     "find-spectrum-2x2x4-none-canonical": ["find-spectrum", "2x2x4_none.set", "--canonical"],
+    # Galois classes of several elements: the units of Z_12 act on 4x12
+    "find-spectrum-4x12-found": ["find-spectrum", "4x12_found8.set"],
+    "find-spectrum-4x12-found-canonical": ["find-spectrum", "4x12_found8.set", "--canonical"],
+    "find-spectrum-4x12-none": ["find-spectrum", "4x12_none4.set"],
     "find-spectrum-z72-found": ["find-spectrum", "z72_found24.set"],
     "find-spectrum-z72-found-canonical": ["find-spectrum", "z72_found24.set", "--canonical"],
     "find-spectrum-z72-none": ["find-spectrum", "z72_none15.set"],
@@ -84,6 +96,11 @@ CASES: dict[str, list[str]] = {
     ],
     "find-spectrum-z2pow10-budget-canonical": [
         "find-spectrum", "z2pow10_none12.set", "--canonical", "--budget", "5000",
+    ],
+    # a 20-point subset of Z_2^12, the shape of the benchmark's search sets
+    "find-spectrum-z2pow12-cube20": ["find-spectrum", "z2pow12_cube20.set"],
+    "find-spectrum-z2pow12-cube20-canonical": [
+        "find-spectrum", "z2pow12_cube20.set", "--canonical",
     ],
     # find-complement: found, exhausted and budget, default and canonical order
     "find-complement-2x4x8-found": ["find-complement", "2x4x8_tile4.set"],
