@@ -7,6 +7,8 @@ into L/r slices, each a sum of r-th roots of unity, and vanishes iff every
 slice leaves remainder 0 modulo the monic ``Phi_r``. ``Phi_n`` itself is the
 Moebius product of the binomials ``x^d - 1`` over the divisors d of n.
 Coefficients are Python ints throughout, so nothing can silently wrap.
+``_batch_is_zero`` runs the same test on many sums at once in numpy, in
+int64 only where a bound on the coefficients rules out overflow.
 
 One constant bounds the work: a zero test at L costs L + phi(r)(r - phi(r))
 steps (the slices plus the reduction table), and building ``Phi_n`` costs
@@ -21,6 +23,8 @@ import math
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterable
+
+import numpy as np
 
 from .groups import BudgetExceededError
 
@@ -91,6 +95,36 @@ def _reduction_table(L: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
         row = rows[-1]
         rows.append(tuple(a + row[-1] * b for a, b in zip((0,) + row[:-1], base)))
     return L // r, deg, tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def _reduction_matrix(L: int) -> np.ndarray:
+    """The rows of ``_reduction_table(L)`` as the columns of a (phi(r), r - phi(r)) int64 array."""
+    _, deg, rows = _reduction_table(L)
+    return np.array(rows, dtype=np.int64).reshape(-1, deg).T.copy()
+
+
+def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
+    """Row i: does sum_k counts[i, k] zeta_L^k vanish? ``CyclotomicSum.is_zero``, batched.
+
+    ``counts`` is an integer array of shape (rows, L). Each row splits into
+    the same L/r slices as in the scalar test, and one matrix product with
+    the reduction rows reduces every slice of every row modulo Phi_r. A
+    remainder coefficient is at most |S| (1 + (r - phi(r)) c) in absolute
+    value, where |S| bounds the absolute sum of a row (L times its largest
+    count) and c the reduction coefficients; below 2^62 the product runs
+    in int64, otherwise on Python ints.
+    """
+    m, deg, _ = _reduction_table(L)
+    r = L // m
+    reduce = _reduction_matrix(L)
+    top = int(np.abs(reduce).max()) if reduce.size else 0
+    peak = max(int(counts.max()), -int(counts.min())) if counts.size else 0
+    if L * peak * (1 + (r - deg) * top) >= 2**62:
+        counts, reduce = counts.astype(object), reduce.astype(object)
+    slices = counts.reshape(len(counts), r, m)  # slices[i, t, j] = counts[i, j + m t]
+    rem = slices[:, :deg] + np.matmul(reduce, slices[:, deg:])
+    return (rem == 0).reshape(len(counts), -1).all(axis=1)
 
 
 class CyclotomicSum:

@@ -315,9 +315,10 @@ def _candidate_chunk_worker(args: tuple[tuple[int, ...], list[tuple[int, ...]], 
     base = GroupSpec(orders)
     pair = diagonal_subgroup(base)
     ambient = pair.ambient
+    elements = tuple(ambient.elements())  # listed once: element r has rank r
     lines = []
     for ranks in chunk:
-        P = PointSet._from_sorted(ambient, tuple(ambient.element_at(r) for r in ranks))
+        P = PointSet._from_sorted(ambient, tuple([elements[r] for r in ranks]))
         line = _check_candidate(P, pair, pair_budget)
         if line:
             lines.append(line)
@@ -327,10 +328,11 @@ def _candidate_chunk_worker(args: tuple[tuple[int, ...], list[tuple[int, ...]], 
 def _split_chunk_worker(args: tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> tuple[int, list[str]]:
     orders, chunk = args
     spec = GroupSpec(orders)
+    elements = tuple(spec.elements())
     lines = []
     for ranks_a, ranks_b in chunk:
-        A = PointSet._from_sorted(spec, tuple(spec.element_at(r) for r in ranks_a))
-        B = PointSet._from_sorted(spec, tuple(spec.element_at(r) for r in ranks_b))
+        A = PointSet._from_sorted(spec, tuple([elements[r] for r in ranks_a]))
+        B = PointSet._from_sorted(spec, tuple([elements[r] for r in ranks_b]))
         line = _check_split(A, B)
         if line:
             lines.append(line)

@@ -15,23 +15,27 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import mod, sub
+from typing import Iterator
 
 import numpy as np
 
-from .cyclotomic import CyclotomicSum
-from .groups import GroupElement, GroupSpec, PointSet
+from .cyclotomic import CyclotomicSum, _batch_is_zero, _reduction_table
+from .groups import DEFAULT_ENUM_BUDGET, GroupElement, GroupSpec, PointSet
 
-# Above this cardinality a character sum is histogrammed through numpy
-# (exact int64; guarded against overflow, with a big-int fallback).
-_NUMPY_MIN_POINTS = 512
+# From this many pairs on, verify_spectral_pair walks the pairs in numpy row
+# blocks and tests their distinct differences in batches.
+_WALK_MIN_PAIRS = 256
 
 DEFAULT_SEARCH_NODES = 2_000_000
 MAX_SEARCH_ORDER = 4096
 
-
-@lru_cache(maxsize=8)
-def _coord_matrix(S: PointSet) -> np.ndarray:
-    return np.array([p.coords for p in S.points], dtype=np.int64)
+# The numpy blocks of difference ranks hold at most this many entries, so
+# their temporaries stay at a few hundred kB whatever the sizes.
+_BLOCK_ENTRIES = 1 << 15
+# Histogram blocks are smaller, since bincount copies their exponents to
+# int64: at 2^15 entries the zero sets of 20-point sets in Z_2^12 raised
+# the peak RSS of find-spectrum by 0.2 MB.
+_HISTOGRAM_ENTRIES = 1 << 13
 
 
 def char_sum_on_set(S: PointSet, h: GroupElement) -> CyclotomicSum:
@@ -41,14 +45,43 @@ def char_sum_on_set(S: PointSet, h: GroupElement) -> CyclotomicSum:
     spec = S.group
     L = spec.exponent
     wh = tuple(w * c % L for w, c in zip(spec._char_weights, h.coords))
-    if len(S) >= _NUMPY_MIN_POINTS and len(wh) * L * L < 2**62:
-        exps = _coord_matrix(S) @ np.array(wh, dtype=np.int64)
-        counts = np.bincount(exps % L, minlength=L)
-        return CyclotomicSum(L, counts.tolist())
     counts = [0] * L
     for p in S.points:
         counts[sum(a * b for a, b in zip(wh, p.coords)) % L] += 1
     return CyclotomicSum(L, counts)
+
+
+def _vanishing_at(S: PointSet, ranks: np.ndarray) -> np.ndarray:
+    """Does the character sum over S vanish at h, for the element h of each rank?
+
+    The batched form of ``char_sum_on_set(S, h).is_zero()``. Each block of
+    characters sums its exponents with the points factor by factor, takes
+    one histogram per character and one ``_batch_is_zero``. Exponents stay
+    below d L^2 for d factors: int32 holds that up to 2^31, int64 beyond,
+    since the cost bound of the zero test, checked first, keeps L at most
+    10^7 (and d is at most 1024).
+    """
+    spec = S.group
+    L = spec.exponent
+    _reduction_table(L)  # the zero test's cost bound, before any histogram
+    dtype = np.int32 if len(spec.orders) * L * L < 2**31 else np.int64
+    points = np.array([p.coords for p in S.points], dtype=dtype).T
+    orders, strides = np.array(spec.orders), np.array(spec._strides)
+    weights = np.array(spec._char_weights)
+    out = np.empty(len(ranks), dtype=bool)
+    block = max(1, _HISTOGRAM_ENTRIES // max(len(S), L, len(orders)))
+    for i in range(0, len(ranks), block):
+        wh = (ranks[i:i + block, None] // strides % orders * weights % L).astype(dtype)
+        exps = np.zeros((len(wh), len(S)), dtype=dtype)
+        term = np.empty_like(exps)
+        for w, coords in zip(wh.T, points):
+            np.multiply(w[:, None], coords, out=term)
+            exps += term
+        exps %= L
+        exps += np.arange(0, len(wh) * L, L, dtype=dtype)[:, None]
+        counts = np.bincount(exps.ravel(), minlength=len(wh) * L).reshape(len(wh), L)
+        out[i:i + block] = _batch_is_zero(L, counts)
+    return out
 
 
 @dataclass(frozen=True)
@@ -90,7 +123,9 @@ def verify_spectral_pair(
     Pairs are walked in ``combinations`` order, and the character sum at
     h1 - h2 is computed only for a difference not seen before with this set
     (verdicts are memoised per set). A failure therefore names the first
-    non-orthogonal pair of the full walk.
+    non-orthogonal pair of the full walk. From ``_WALK_MIN_PAIRS`` pairs on,
+    in a group within the enumeration budget, ``_first_failing_pair`` takes
+    the same walk in numpy and leaves the memo alone.
     """
     spec, orders = S.group, S.group.orders
     if spectrum.group is not spec and spectrum.group != spec:
@@ -103,20 +138,85 @@ def verify_spectral_pair(
             kind="cardinality",
             detail=f"|S|={len(S)} but |spectrum|={size}",
         )
-    vanishes = _vanishing_memo(S)
-    for h1, h2 in combinations(spectrum.points, 2):
-        d = tuple(map(mod, map(sub, h1.coords, h2.coords), orders))  # h1 - h2
-        zero = vanishes.get(d)
-        if zero is None:
-            zero = char_sum_on_set(S, GroupElement._trusted(spec, d)).is_zero()
-            vanishes[d] = zero
-        if not zero:
-            return SpectralFailure(
-                kind="pair",
-                detail=f"characters {h1!r} and {h2!r} are not orthogonal on S",
-                pair=(h1, h2),
-            )
-    return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=size * (size - 1) // 2)
+    pairs = size * (size - 1) // 2
+    failing = None
+    if pairs >= _WALK_MIN_PAIRS and spec.order <= DEFAULT_ENUM_BUDGET:
+        first = _first_failing_pair(S, spectrum)
+        if first is not None:
+            failing = (spectrum.points[first[0]], spectrum.points[first[1]])
+    else:
+        vanishes = _vanishing_memo(S)
+        for h1, h2 in combinations(spectrum.points, 2):
+            d = tuple(map(mod, map(sub, h1.coords, h2.coords), orders))  # h1 - h2
+            zero = vanishes.get(d)
+            if zero is None:
+                zero = char_sum_on_set(S, GroupElement._trusted(spec, d)).is_zero()
+                vanishes[d] = zero
+            if not zero:
+                failing = (h1, h2)
+                break
+    if failing is not None:
+        h1, h2 = failing
+        return SpectralFailure(
+            kind="pair",
+            detail=f"characters {h1!r} and {h2!r} are not orthogonal on S",
+            pair=failing,
+        )
+    return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=pairs)
+
+
+def _difference_blocks(spec: GroupSpec, ranks: np.ndarray, dtype) -> Iterator[tuple[int, np.ndarray]]:
+    """Row blocks (i, D) of the difference ranks: D[a, j] = rank(g_j - g_(i+a)).
+
+    The ranks are summed factor by factor: with x = c_j s and
+    y = (-c_i mod n) s for a factor of order n and stride s, the term of
+    the factor is x + y, less n s when that reaches n s. ``dtype`` must
+    hold twice the group order.
+    """
+    terms = []
+    for n, s in zip(spec.orders, spec._strides):
+        c = ranks // s % n
+        terms.append(((c * s).astype(dtype), (-c % n * s).astype(dtype), dtype(n * s)))
+    size = len(ranks)
+    block = max(1, _BLOCK_ENTRIES // size)
+    for i in range(0, size, block):
+        diff = np.zeros((min(block, size - i), size), dtype=dtype)
+        t = np.empty_like(diff)
+        for x, y, wrap in terms:
+            np.add(x[None, :], y[i:i + block, None], out=t)
+            np.subtract(t, wrap, out=t, where=t >= wrap)
+            diff += t
+        yield i, diff
+
+
+def _first_failing_pair(S: PointSet, spectrum: PointSet) -> tuple[int, int] | None:
+    """Indices (i, j) of the first pair in ``combinations`` order that is not orthogonal on S.
+
+    Each row block of difference ranks first tests, in one batch, the
+    differences that no earlier block has met; ``verdict`` keeps them per
+    group rank (0 untested, 1 vanishes, 2 does not). The block holds
+    h_j - h_i, whose character sum is the complex conjugate of the one at
+    h_i - h_j, so both vanish together. The first failing entry above the
+    diagonal, in row-major order, is then the first failing pair of the
+    walk.
+    """
+    spec = S.group
+    ranks = np.array([p.rank() for p in spectrum.points], dtype=np.int64)
+    size = len(ranks)
+    verdict = np.zeros(spec.order, dtype=np.int8)
+    cols = np.arange(size)
+    # Ranks stay below twice the enumeration budget, which int32 holds.
+    for i, diff in _difference_blocks(spec, ranks, np.int32):
+        later = cols > np.arange(i, i + len(diff))[:, None]  # the pairs (i, j), j > i
+        d = diff[later]
+        pending = np.sort(d[verdict[d] == 0])
+        new = pending[np.diff(pending, prepend=-1) != 0]
+        if new.size:
+            verdict[new] = np.where(_vanishing_at(S, new), 1, 2)
+        bad = later & (verdict[diff] == 2)
+        if bad.any():
+            return divmod(i * size + int(bad.argmax()), size)
+    return None
 
 
 def _zero_set_ranks(S: PointSet) -> list[int]:
@@ -124,28 +224,54 @@ def _zero_set_ranks(S: PointSet) -> list[int]:
 
     The zero set is a union of Galois classes: for u coprime to the exponent,
     sigma_u maps the sum at h to the sum at u*h, and every generator of <h>
-    is such a u*h. So one exact test per cyclic subgroup decides it.
+    is such a u*h. So one exact test per class decides it, and the least
+    ranks of the classes are tested in one batch.
     """
     spec = S.group
-    vanishes: list[bool | None] = [None] * spec.order
-    for r in range(1, spec.order):
-        if vanishes[r] is None:
-            h = spec.element_at(r)
-            zero = char_sum_on_set(S, h).is_zero()
-            for g in _generator_ranks(h):
-                vanishes[g] = zero
-    return [r for r in range(1, spec.order) if vanishes[r]]
+    label = _galois_labels(spec)
+    reps = np.flatnonzero(label == np.arange(spec.order))[1:]  # 0 is a class of its own
+    zero = np.zeros(spec.order, dtype=bool)
+    zero[reps] = _vanishing_at(S, reps)
+    return np.flatnonzero(zero[label]).tolist()
 
 
-def _generator_ranks(h: GroupElement) -> list[int]:
-    """Ranks of the generators k*h of <h>: 1 <= k <= ord(h), gcd(k, ord(h)) = 1."""
-    spec, coords = h.group, h.coords
-    order = math.lcm(*(n // math.gcd(c, n) for c, n in zip(coords, spec.orders)))
-    return [
-        spec.rank_of([k * c % n for c, n in zip(coords, spec.orders)])
-        for k in range(1, order + 1)
-        if math.gcd(k, order) == 1
-    ]
+@lru_cache(maxsize=8)
+def _galois_labels(spec: GroupSpec) -> np.ndarray:
+    """label[r]: the least rank in the Galois class of the element of rank r.
+
+    The class of h is {u h : u a unit mod the exponent L}. For each
+    generator u of the units, pointer doubling along the permutation
+    h -> u h takes the least label over the cycle through h: after k
+    doublings, over u^j h for j < 2^k. Taking the generators one after
+    another gives the least rank over the whole class, at a cost of
+    |G| log2(L) per generator.
+    """
+    L = spec.exponent
+    ranks = np.arange(spec.order)
+    label = ranks
+    for u in _unit_generators(L):
+        step = np.zeros_like(ranks)
+        for n, s in zip(spec.orders, spec._strides):
+            step += ranks // s * u % n * s
+        for _ in range(L.bit_length()):  # 2^k > L > ord(u)
+            label = np.minimum(label, label[step])
+            step = step[step]
+    label.flags.writeable = False
+    return label
+
+
+def _unit_generators(L: int) -> list[int]:
+    """Units mod L that generate all of them, each outside the group of those before."""
+    gens, subgroup = [], {1}
+    for u in range(2, L):
+        if u not in subgroup and math.gcd(u, L) == 1:
+            gens.append(u)
+            grown, power = set(subgroup), u
+            while power not in subgroup:  # <subgroup, u> is the union of u^j subgroup
+                grown.update(power * x % L for x in subgroup)
+                power = power * u % L
+            subgroup = grown
+    return gens
 
 
 @dataclass(frozen=True)
@@ -158,35 +284,15 @@ class SpectrumSearch:
     detail: str = ""
 
 
-# Row blocks of the graph build hold at most this many entries, so its
-# temporaries stay at a few hundred kB whatever the vertex count.
-_GRAPH_BLOCK_ENTRIES = 1 << 15
-
-
 def _orthogonality_rows(spec: GroupSpec, ranks: np.ndarray, zero: np.ndarray) -> list[int]:
     """Bitset rows of the orthogonality graph on the vertices ``ranks``.
 
     Bit j of row i is set iff rank(g_j - g_i) is in the zero set, given as
-    the boolean array ``zero`` over group ranks. The difference ranks are
-    summed factor by factor over blocks of rows: with x = c_j s and
-    y = (-c_i mod n) s for a factor of order n and stride s, the term of
-    the factor is x + y, less n s when that reaches n s.
+    the boolean array ``zero`` over group ranks.
     """
-    # Every value stays below 2 * MAX_SEARCH_ORDER, which int16 holds.
-    terms = []
-    for n, s in zip(spec.orders, spec._strides):
-        c = ranks // s % n
-        terms.append(((c * s).astype(np.int16), (-c % n * s).astype(np.int16), np.int16(n * s)))
-    size = len(ranks)
-    block = max(1, _GRAPH_BLOCK_ENTRIES // size)
     rows: list[int] = []
-    for i in range(0, size, block):
-        diff = np.zeros((min(block, size - i), size), dtype=np.int16)
-        t = np.empty_like(diff)
-        for x, y, wrap in terms:
-            np.add(x[None, :], y[i:i + block, None], out=t)
-            np.subtract(t, wrap, out=t, where=t >= wrap)
-            diff += t
+    # Every value stays below 2 * MAX_SEARCH_ORDER, which int16 holds.
+    for _, diff in _difference_blocks(spec, ranks, np.int16):
         packed = np.packbits(zero[diff], axis=1, bitorder="little")
         rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return rows

@@ -217,6 +217,19 @@ def test_pipeline_4x4_k3(tmp_path, capsys):
     )
 
 
+def test_pipeline_4x4_k4(tmp_path, capsys):
+    # 4096 points: 8,386,560 pairs over 25,599 distinct differences
+    a = tmp_path / "A.set"
+    b = tmp_path / "B.set"
+    a.write_text("box 4x4\n0,0\n0,1\n1,0\n1,1\n", encoding="utf-8")
+    b.write_text("box 4x4\n0,0\n0,2\n2,0\n2,2\n", encoding="utf-8")
+    code, out = run_cli(["pipeline", str(a), str(b), "--k", "4"], capsys)
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "step=lifted-spectrum status=pass detail=|set|=4096 pairs-checked=8386560"
+    )
+
+
 def test_json_mirrors_text_verdicts(files, capsys):
     code, out = run_cli(["find-spectrum", files["S01"], "--json"], capsys)
     payload = json.loads(out)

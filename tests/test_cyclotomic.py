@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from reference_cyclotomic import dense_is_zero, sympy_cyclotomic
 from spectile.cyclotomic import (
     MAX_KERNEL_COST,
     CyclotomicSum,
+    _batch_is_zero,
+    _reduction_matrix,
     _reduction_table,
     cyclotomic_poly,
 )
@@ -177,6 +180,45 @@ def test_zero_test_matches_dense_reduction(L, rng):
 def test_zero_test_matches_dense_reduction_at_large_exponents(L, rng):
     counts = _planted_sum(L, rng)
     assert CyclotomicSum(L, counts).is_zero() == dense_is_zero(counts)
+
+
+def _assert_batch_matches(L: int, rows: list[tuple[int, ...]]) -> None:
+    got = _batch_is_zero(L, np.array(rows, dtype=np.int64)).tolist()
+    assert got == [CyclotomicSum(L, row).is_zero() for row in rows]
+    assert got == [dense_is_zero(row) for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 600), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_batch_zero_test_matches_the_scalar_and_dense_tests(L, n, rng):
+    _assert_batch_matches(L, [_planted_sum(L, rng) for _ in range(n)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([1155, 2520, 4096]), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_batch_zero_test_matches_at_large_exponents(L, n, rng):
+    # rad(1155) = 3 * 5 * 7 * 11: Phi_1155 has coefficients of absolute value 2
+    _assert_batch_matches(L, [_planted_sum(L, rng) for _ in range(n)])
+
+
+def test_batch_zero_test_uses_python_ints_where_int64_would_wrap():
+    L = 15
+    # 2^62 times v: v reduces modulo Phi_15 to 4 times a nonzero remainder,
+    # so in int64 every remainder coefficient wraps to 0.
+    v = (-1, -2, -2, 1, -1, 1, -2, 0, -1, -1, -1, 0, 0, 1, 1)
+    wraps = tuple(c << 62 for c in v)
+    m, deg, _ = _reduction_table(L)
+    slices = np.array(wraps, dtype=np.int64).reshape(L // m, m)
+    assert not (slices[:deg] + _reduction_matrix(L) @ slices[deg:]).any()
+    near = 2**61 - 1
+    rows = [
+        wraps,
+        (near,) * L,  # near times the full geometric sum: zero
+        (near - 1,) + (near,) * (L - 1),
+        tuple(near * c for c in v),
+    ]
+    assert _batch_is_zero(L, np.array(rows, dtype=np.int64)).tolist() == [False, True, False, False]
+    _assert_batch_matches(L, rows)
 
 
 def test_zero_test_runs_at_the_radical():

@@ -1,9 +1,11 @@
 """Property tests for the invariants the verifier and the search rely on.
 
-``verify_spectral_pair`` tests each distinct difference once and the zero-set
-scan of ``find_spectrum`` tests one element per cyclic subgroup. Both are
-checked here against naive references that test every pair and every
-element, and the Galois invariance behind the second is checked directly.
+``verify_spectral_pair`` tests each distinct difference once, in numpy
+batches for spectra of ``_WALK_MIN_PAIRS`` pairs and more, and the zero-set
+scan of ``find_spectrum`` tests one element per Galois class in one batch.
+Both are checked here against naive references that test every pair and
+every element through the scalar zero test, and the Galois invariance behind
+the second is checked directly.
 The count table behind ``sum_coverage`` and ``sum_multiset_check`` is checked
 against sums of group elements, and so is the witness both report: with
 |A||B| = |G|, or |P| = |G|, the first element (in rank order) that no pair
@@ -12,16 +14,25 @@ sums to.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections import Counter
 from itertools import combinations
 
-from hypothesis import given, settings
+from unittest import mock
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from spectile import spectral
 from spectile.diagonal import sum_multiset_check
 from spectile.groups import GroupElement, GroupSpec, PointSet, product_group
-from spectile.spectral import _zero_set_ranks, char_sum_on_set, verify_spectral_pair
+from spectile.spectral import (
+    _WALK_MIN_PAIRS,
+    _zero_set_ranks,
+    char_sum_on_set,
+    verify_spectral_pair,
+)
 from spectile.tiling import sum_coverage, verify_tiling
 
 SETTINGS = settings(max_examples=150, deadline=None)
@@ -34,7 +45,15 @@ small_groups = (
 zero_set_groups = st.one_of(
     st.integers(2, 96).map(lambda n: GroupSpec([n])),
     st.sampled_from([GroupSpec([4, 6]), GroupSpec([2, 12]), GroupSpec([8, 8])]),
+    st.integers(1, 12).map(lambda k: GroupSpec([2] * k)),
+    # Galois classes of several elements in several factors
+    st.sampled_from([GroupSpec([4, 12]), GroupSpec([3, 6, 9]), GroupSpec([5, 10])]),
 )
+# Groups with subgroups large enough for spectra above the walk's gate.
+walk_groups = st.sampled_from([
+    GroupSpec([8, 12]), GroupSpec([4, 4, 8]), GroupSpec([2] * 7), GroupSpec([3, 6, 6]),
+    GroupSpec([4, 24]), GroupSpec([2, 4, 12]),
+])
 
 
 def naive_verify(S: PointSet, spectrum: PointSet) -> tuple[bool, tuple | None, int]:
@@ -57,6 +76,45 @@ def naive_zero_set(S: PointSet) -> list[int]:
     ]
 
 
+def subgroup_spectral_pair(data) -> tuple[PointSet, PointSet, list[GroupElement]]:
+    """A translate of a subgroup H, a spectrum of it above the walk's gate, and H's annihilator.
+
+    Characters restrict to the same character of H iff they differ by an
+    element of the annihilator of H, so one element from each coset of the
+    annihilator, each drawn at random, makes a spectrum of H.
+    """
+    spec = data.draw(walk_groups)
+    elements = list(spec.elements())
+    H, gens = {spec.identity()}, []
+    while len(H) * (len(H) - 1) // 2 < _WALK_MIN_PAIRS:
+        gens.append(data.draw(st.sampled_from([g for g in elements if g not in H])))
+        grown = H | {x + gens[-1] for x in H}
+        while grown != H:
+            H, grown = grown, grown | {x + gens[-1] for x in grown}
+    assume(len(H) <= 64)  # keeps the all-pairs reference quick
+    L = spec.exponent
+    w = spec._char_weights
+    annihilator = [
+        h for h in elements
+        if all(sum(a * b * c for a, b, c in zip(w, h.coords, g.coords)) % L == 0 for g in gens)
+    ]
+    rng = data.draw(st.randoms(use_true_random=False))
+    rng.shuffle(elements)
+    reps: dict[int, GroupElement] = {}
+    for h in elements:
+        reps.setdefault(min((h + k).rank() for k in annihilator), h)
+    t = rng.choice(elements)
+    return PointSet(spec, [x + t for x in H]), PointSet(spec, reps.values()), annihilator
+
+
+def small_blocks(data):
+    """The numpy blocks of ``spectral`` at their sizes, or small enough to split small inputs."""
+    size = data.draw(st.sampled_from([None, 1, 100]))
+    if size is None:
+        return contextlib.nullcontext()
+    return mock.patch.multiple(spectral, _BLOCK_ENTRIES=size, _HISTOGRAM_ENTRIES=size)
+
+
 def subsets(spec: GroupSpec, max_size: int):
     return st.sets(st.integers(0, spec.order - 1), min_size=1, max_size=max_size).map(
         lambda ranks: PointSet.from_ranks(spec, ranks)
@@ -66,19 +124,37 @@ def subsets(spec: GroupSpec, max_size: int):
 @SETTINGS
 @given(st.data())
 def test_verify_matches_the_all_pairs_reference(data):
-    spec = data.draw(small_groups)
-    S = data.draw(subsets(spec, 6))
-    # Spectra drawn from {0} and the zero set pass many pairs before a
-    # failure, so the walk reaches differences it has already tested.
-    pool = [0] + naive_zero_set(S)
-    if len(pool) < len(S) or data.draw(st.booleans()):
-        pool = list(range(spec.order))
-    size = len(S) if data.draw(st.integers(0, 9)) else min(len(pool), len(S) + 1)
-    ranks = data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True))
-    spectrum = PointSet.from_ranks(spec, ranks)
+    if not data.draw(st.booleans()):
+        spec = data.draw(small_groups)
+        S = data.draw(subsets(spec, 6))
+        # Spectra drawn from {0} and the zero set pass many pairs before a
+        # failure, so the walk reaches differences it has already tested.
+        pool = [0] + naive_zero_set(S)
+        if len(pool) < len(S) or data.draw(st.booleans()):
+            pool = list(range(spec.order))
+        size = len(S) if data.draw(st.integers(0, 9)) else min(len(pool), len(S) + 1)
+        ranks = data.draw(
+            st.lists(st.sampled_from(pool), min_size=size, max_size=size, unique=True)
+        )
+        spectrum = PointSet.from_ranks(spec, ranks)
+    else:
+        # Above the gate: a spectral pair, or one with a few spectrum points
+        # moved. A point moved into the annihilator coset of another one
+        # fails against it, so the walk meets failing pairs in several rows.
+        S, spectrum, annihilator = subgroup_spectral_pair(data)
+        spec = S.group
+        points = list(spectrum.points)
+        for _ in range(data.draw(st.integers(0, 4))):
+            i, j = data.draw(st.integers(0, len(points) - 1)), data.draw(st.integers(0, len(points) - 1))
+            moved = points[j] + data.draw(st.sampled_from(annihilator))
+            if moved not in points:
+                points[i] = moved
+        spectrum = PointSet(spec, points)
 
     ok, pair, checked = naive_verify(S, spectrum)
-    res = verify_spectral_pair(S, spectrum)
+    # Small numpy blocks make the walk cross block boundaries on small spectra.
+    with small_blocks(data):
+        res = verify_spectral_pair(S, spectrum)
     assert res.ok == ok
     if ok:
         assert res.checked_pairs == checked
@@ -91,7 +167,8 @@ def test_verify_matches_the_all_pairs_reference(data):
 def test_zero_set_matches_the_per_element_scan(data):
     spec = data.draw(zero_set_groups)
     S = data.draw(subsets(spec, 12))
-    assert _zero_set_ranks(S) == naive_zero_set(S)
+    with small_blocks(data):
+        assert _zero_set_ranks(S) == naive_zero_set(S)
 
 
 @SETTINGS
