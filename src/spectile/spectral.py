@@ -141,9 +141,7 @@ def verify_spectral_pair(
     pairs = size * (size - 1) // 2
     failing = None
     if pairs >= _WALK_MIN_PAIRS and spec.order <= DEFAULT_ENUM_BUDGET:
-        first = _first_failing_pair(S, spectrum)
-        if first is not None:
-            failing = (spectrum.points[first[0]], spectrum.points[first[1]])
+        failing = _first_failing_pair(S, spectrum)
     else:
         vanishes = _vanishing_memo(S)
         for h1, h2 in combinations(spectrum.points, 2):
@@ -189,8 +187,10 @@ def _difference_blocks(spec: GroupSpec, ranks: np.ndarray, dtype) -> Iterator[tu
         yield i, diff
 
 
-def _first_failing_pair(S: PointSet, spectrum: PointSet) -> tuple[int, int] | None:
-    """Indices (i, j) of the first pair in ``combinations`` order that is not orthogonal on S.
+def _first_failing_pair(
+    S: PointSet, spectrum: PointSet
+) -> tuple[GroupElement, GroupElement] | None:
+    """The first pair in ``combinations`` order that is not orthogonal on S, if any.
 
     Each row block of difference ranks first tests, in one batch, the
     differences that no earlier block has met; ``verdict`` keeps them per
@@ -215,7 +215,8 @@ def _first_failing_pair(S: PointSet, spectrum: PointSet) -> tuple[int, int] | No
             verdict[new] = np.where(_vanishing_at(S, new), 1, 2)
         bad = later & (verdict[diff] == 2)
         if bad.any():
-            return divmod(i * size + int(bad.argmax()), size)
+            a, j = divmod(int(bad.argmax()), size)
+            return spectrum.points[i + a], spectrum.points[j]
     return None
 
 

@@ -18,7 +18,6 @@ import contextlib
 import math
 from collections import Counter
 from itertools import combinations
-
 from unittest import mock
 
 from hypothesis import assume, given, settings
