@@ -140,6 +140,17 @@ CASES: dict[str, list[str]] = {
     "product-diagonal-z6-yes": ["product-diagonal", "z6_A.set", "z6_B.set"],
     "product-diagonal-2x4-yes": ["product-diagonal", "2x4_A.set", "2x4_B.set"],
     "product-diagonal-2x4-json": ["product-diagonal", "2x4_A.set", "2x4_B.set", "--json"],
+    # harness: the trivial group, an exhaustive sweep (1,820 candidates),
+    # samples at L=9 (the zero test's slices), in a product, over two workers
+    "harness-1": ["harness", "--group", "1"],
+    "harness-4-exhaustive": ["harness", "--group", "4"],
+    "harness-9-sampled": ["harness", "--group", "9", "--budget", "2000", "--seed", "3"],
+    "harness-2x4-json": [
+        "harness", "--group", "2x4", "--budget", "3000", "--seed", "11", "--json",
+    ],
+    "harness-8-threads": [
+        "harness", "--group", "8", "--budget", "1000", "--seed", "2", "--threads", "2",
+    ],
 }
 
 
