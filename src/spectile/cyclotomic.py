@@ -124,7 +124,7 @@ def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
         counts, reduce = counts.astype(object), reduce.astype(object)
     slices = counts.reshape(len(counts), r, m)  # slices[i, t, j] = counts[i, j + m t]
     rem = slices[:, :deg] + np.matmul(reduce, slices[:, deg:])
-    return (rem == 0).reshape(len(counts), -1).all(axis=1)
+    return (rem == 0).all(axis=(1, 2))
 
 
 class CyclotomicSum:

@@ -12,9 +12,9 @@ Three interlocking facts relate these subgroups to tiling, for a subset
 
 The first two are checked here: the sum-multiset test is the fast canonical
 path, the full pairwise-character verification is kept as an independent
-oracle, and the agreement harness runs both on streams of candidates. The
-third holds because ``a + b`` is constant on each antidiagonal coset; the
-tests check it against an enumeration of the cosets.
+oracle, and the agreement harness runs both, batched in numpy, on streams of
+candidates. The third holds because ``a + b`` is constant on each
+antidiagonal coset; the tests check it against an enumeration of the cosets.
 """
 
 from __future__ import annotations
@@ -23,9 +23,12 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator
 
+import numpy as np
+
+from .cyclotomic import _batch_is_zero
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
@@ -291,15 +294,6 @@ class HarnessReport:
         return "\n".join(out)
 
 
-def _check_candidate(P: PointSet, pair: DiagonalPair, pair_budget: int) -> str | None:
-    v = check_diagonal_spectral(P, pair=pair, pair_budget=pair_budget)
-    if v.agree is False:
-        return (
-            f"disagree kind=candidate P={format_point_set(P)} "
-            f"spectral={v.spectral} multiset={v.multiset}"
-        )
-    return None
-
 def _check_split(A: PointSet, B: PointSet) -> str | None:
     v = product_with_diagonal(A, B)
     if not v.agree:
@@ -310,18 +304,80 @@ def _check_split(A: PointSet, B: PointSet) -> str | None:
     return None
 
 
-def _candidate_chunk_worker(args: tuple[tuple[int, ...], list[tuple[int, ...]], int]) -> tuple[int, list[str]]:
+# The harness checks candidates in row blocks of at most this many exponents
+# (and as many histogram cells), so its temporaries stay small.
+_CANDIDATE_ENTRIES = 1 << 13
+
+
+def _sum_ranks(base: GroupSpec) -> np.ndarray:
+    """The addition table of the base group: sums[x, y] = rank(g_x + g_y)."""
+    coords = np.arange(base.order)[:, None] // base._strides % base.orders
+    sums = np.zeros((base.order, base.order), dtype=np.intp)
+    for n, s, c in zip(base.orders, base._strides, coords.T):
+        sums += (c[:, None] + c[None, :]) % n * s
+    return sums
+
+
+def _pairing_exponents(base: GroupSpec) -> np.ndarray:
+    """chi[x, k] = <h, g_x> mod L for h of rank k + 1: the nonzero characters."""
+    coords = np.arange(base.order)[:, None] // base._strides % base.orders
+    return (coords * base._char_weights) @ coords[1:].T % base.exponent
+
+
+def _multiset_verdicts(sums: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table route: does row i of rank(a_ij + b_ij), read from ``sums``, hit every rank?"""
+    rows, n = a.shape
+    cells = sums[a, b] + np.arange(0, rows * n, n)[:, None]
+    return np.bincount(cells.ravel(), minlength=rows * n).reshape(rows, n).all(axis=1)
+
+
+def _character_verdicts(chi: np.ndarray, L: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Character route: does sum_j zeta_L^(<h, a_ij> + <h, b_ij>) vanish at every h of ``chi``?"""
+    rows, chars = len(a), chi.shape[1]
+    exps = (chi[a] + chi[b]) % L  # (row, point, h)
+    exps += np.arange(0, rows * chars * L, L).reshape(rows, 1, chars)
+    hist = np.bincount(exps.ravel(), minlength=rows * chars * L).reshape(-1, L)
+    return _batch_is_zero(L, hist).reshape(rows, chars).all(axis=1)
+
+
+def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(spectral, multiset): both routes to the diagonal criterion, per row of ``ranks``.
+
+    Row i holds the ambient ranks of a candidate P = {(a_ij, b_ij)} in
+    G x G, split into the base ranks a and b. The table route counts
+    rank(a_ij + b_ij) and passes iff no cell is 0, as
+    ``sum_multiset_check`` does. The character route takes the exponents
+    <h, a_ij> + <h, b_ij> at every nonzero h, the differences (h, h) of the
+    diagonal that ``verify_spectral_pair(P, D)`` tests, and passes iff every
+    histogram vanishes. Neither reads the other's table.
+    """
+    n = base.order
+    sums, chi = _sum_ranks(base), _pairing_exponents(base)
+    spectral = np.empty(len(ranks), dtype=bool)
+    multiset = np.empty(len(ranks), dtype=bool)
+    rows = max(1, _CANDIDATE_ENTRIES // (max(1, n - 1) * n))
+    for i in range(0, len(ranks), rows):
+        a, b = np.divmod(ranks[i : i + rows].astype(np.intp), n)
+        multiset[i : i + rows] = _multiset_verdicts(sums, a, b)
+        spectral[i : i + rows] = _character_verdicts(chi, base.exponent, a, b)
+    return spectral, multiset
+
+
+def _candidate_chunk_worker(args: tuple[tuple[int, ...], np.ndarray, int]) -> tuple[int, list[str]]:
     orders, chunk, pair_budget = args
     base = GroupSpec(orders)
-    pair = diagonal_subgroup(base)
-    ambient = pair.ambient
-    elements = tuple(ambient.elements())  # listed once: element r has rank r
+    n = base.order
+    if n * (n - 1) // 2 * n > pair_budget:  # check_diagonal_spectral's shortcut
+        return len(chunk), []
+    spectral, multiset = _candidate_verdicts(base, chunk)
+    ambient = product_group(base, base)
     lines = []
-    for ranks in chunk:
-        P = PointSet._from_sorted(ambient, tuple([elements[r] for r in ranks]))
-        line = _check_candidate(P, pair, pair_budget)
-        if line:
-            lines.append(line)
+    for k in np.flatnonzero(spectral != multiset):
+        P = PointSet.from_ranks(ambient, chunk[k].tolist())
+        lines.append(
+            f"disagree kind=candidate P={format_point_set(P)} "
+            f"spectral={spectral[k]} multiset={multiset[k]}"
+        )
     return len(chunk), lines
 
 
@@ -358,7 +414,7 @@ def _run_chunked(worker, payloads: list, threads: int) -> tuple[int, list[str]]:
     return checked, lines
 
 
-def _chunks(items: list, pieces: int) -> list[list]:
+def _chunks(items: list | np.ndarray, pieces: int) -> list:
     if pieces <= 1:
         return [items]
     size = max(1, (len(items) + pieces - 1) // pieces)
@@ -391,10 +447,14 @@ def run_agreement_harness(
     total_p = math.comb(n2, n)
     if total_p <= budget:
         p_mode = "exhaustive"
-        candidates = [tuple(c) for c in combinations(range(n2), n)]
+        rows, drawn = total_p, combinations(range(n2), n)
     else:
         p_mode = "sampled"
-        candidates = [tuple(sorted(rng.sample(range(n2), n))) for _ in range(budget)]
+        rows, drawn = budget, (sorted(rng.sample(range(n2), n)) for _ in range(budget))
+    # One row of ambient ranks per candidate, in the narrowest dtype that holds them.
+    candidates = np.fromiter(
+        chain.from_iterable(drawn), dtype=np.min_scalar_type(n2 - 1), count=rows * n
+    ).reshape(rows, n)
 
     payloads = [
         (spec.orders, chunk, pair_budget) for chunk in _chunks(candidates, threads)

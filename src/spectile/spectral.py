@@ -163,21 +163,27 @@ def verify_spectral_pair(
     return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=pairs)
 
 
-def _difference_blocks(spec: GroupSpec, ranks: np.ndarray, dtype) -> Iterator[tuple[int, np.ndarray]]:
+def _difference_blocks(
+    spec: GroupSpec, ranks: np.ndarray, dtype, grow: bool = False
+) -> Iterator[tuple[int, np.ndarray]]:
     """Row blocks (i, D) of the difference ranks: D[a, j] = rank(g_j - g_(i+a)).
 
     The ranks are summed factor by factor: with x = c_j s and
     y = (-c_i mod n) s for a factor of order n and stride s, the term of
     the factor is x + y, less n s when that reaches n s. ``dtype`` must
-    hold twice the group order.
+    hold twice the group order. Blocks hold ``_BLOCK_ENTRIES`` entries at
+    most; with ``grow`` they start at one row and double up to that, so a
+    walk that stops early pays for little more than the rows it read.
     """
     terms = []
     for n, s in zip(spec.orders, spec._strides):
         c = ranks // s % n
         terms.append(((c * s).astype(dtype), (-c % n * s).astype(dtype), dtype(n * s)))
     size = len(ranks)
-    block = max(1, _BLOCK_ENTRIES // size)
-    for i in range(0, size, block):
+    most = max(1, _BLOCK_ENTRIES // size)
+    block = 1 if grow else most
+    i = 0
+    while i < size:
         diff = np.zeros((min(block, size - i), size), dtype=dtype)
         t = np.empty_like(diff)
         for x, y, wrap in terms:
@@ -185,6 +191,8 @@ def _difference_blocks(spec: GroupSpec, ranks: np.ndarray, dtype) -> Iterator[tu
             np.subtract(t, wrap, out=t, where=t >= wrap)
             diff += t
         yield i, diff
+        i += block
+        block = min(2 * block, most)
 
 
 def _first_failing_pair(
@@ -194,7 +202,8 @@ def _first_failing_pair(
 
     Each row block of difference ranks first tests, in one batch, the
     differences that no earlier block has met; ``verdict`` keeps them per
-    group rank (0 untested, 1 vanishes, 2 does not). The block holds
+    group rank (0 untested, 1 vanishes, 2 does not). The blocks grow from
+    one row, so a failure in the first rows costs few tests. A block holds
     h_j - h_i, whose character sum is the complex conjugate of the one at
     h_i - h_j, so both vanish together. The first failing entry above the
     diagonal, in row-major order, is then the first failing pair of the
@@ -206,7 +215,7 @@ def _first_failing_pair(
     verdict = np.zeros(spec.order, dtype=np.int8)
     cols = np.arange(size)
     # Ranks stay below twice the enumeration budget, which int32 holds.
-    for i, diff in _difference_blocks(spec, ranks, np.int32):
+    for i, diff in _difference_blocks(spec, ranks, np.int32, grow=True):
         later = cols > np.arange(i, i + len(diff))[:, None]  # the pairs (i, j), j > i
         d = diff[later]
         pending = np.sort(d[verdict[d] == 0])

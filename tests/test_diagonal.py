@@ -5,10 +5,14 @@ import os
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import char_sum_of_pair_sums, meets_each_antidiagonal_coset_once
+from spectile import diagonal
+from spectile.cli import main
 from spectile.diagonal import (
+    _candidate_verdicts,
     check_diagonal_spectral,
     count_product_splits,
     diagonal_subgroup,
@@ -17,7 +21,7 @@ from spectile.diagonal import (
     run_agreement_harness,
     sum_multiset_check,
 )
-from spectile.groups import GroupSpec, PointSet, product_group
+from spectile.groups import GroupSpec, PointSet, format_point_set, product_group
 from spectile.spectral import char_sum_on_set
 from spectile.tiling import verify_tiling
 
@@ -254,6 +258,70 @@ def test_harness_rejects_threads_below_one(recorded_pools, threads):
     with pytest.raises(ValueError, match="threads"):
         run_agreement_harness(GroupSpec([2]), threads=threads)
     assert recorded_pools == []
+
+
+def flip_one_verdict(monkeypatch, route: str, index: int) -> None:
+    """Make the batched route ``route`` flip its verdict on row ``index`` of its first block."""
+    real = getattr(diagonal, route)
+    calls = []
+
+    def flipped(*args):
+        verdicts = real(*args)
+        if not calls:
+            verdicts[index] = not verdicts[index]
+        calls.append(len(verdicts))
+        return verdicts
+
+    monkeypatch.setattr(diagonal, route, flipped)
+
+
+@pytest.mark.parametrize("route", ["_multiset_verdicts", "_character_verdicts"])
+def test_flipped_batched_route_names_the_candidate(monkeypatch, capsys, route):
+    flip_one_verdict(monkeypatch, route, 5)
+    code = main(["harness", "--group", "4"])
+    captured = capsys.readouterr()
+    pair = diagonal_subgroup(GroupSpec([4]))
+    P = PointSet.from_ranks(pair.ambient, list(combinations(range(16), 4))[5])
+    v = check_diagonal_spectral(P, pair=pair)
+    spectral, multiset = v.spectral, v.multiset
+    if route == "_multiset_verdicts":
+        multiset = not multiset
+    else:
+        spectral = not spectral
+    assert code == 4
+    assert [line for line in captured.out.splitlines() if "kind=candidate" in line] == [
+        f"disagree kind=candidate P={format_point_set(P)} spectral={spectral} multiset={multiset}"
+    ]
+    assert captured.err.startswith("disagreement: ")
+
+
+@pytest.mark.parametrize("route", ["_multiset_verdicts", "_character_verdicts"])
+@pytest.mark.parametrize("pair_budget, lines", [(23, 0), (24, 1)])
+def test_flipped_route_is_not_checked_above_the_pair_budget(monkeypatch, route, pair_budget, lines):
+    # In Z_4 the pairwise route costs 6 pairs times 4 points.
+    flip_one_verdict(monkeypatch, route, 5)
+    rep = run_agreement_harness(GroupSpec([4]), pair_budget=pair_budget)
+    assert rep.checked == 1820
+    assert sum("kind=candidate" in line for line in rep.lines) == lines
+
+
+def test_batched_routes_read_separate_tables(monkeypatch):
+    # Zeroing one route's table fails every candidate on that route alone.
+    base = GroupSpec([4])
+    ranks = np.array(list(combinations(range(16), 4)))
+    spectral, multiset = _candidate_verdicts(base, ranks)
+    assert spectral.any() and not spectral.all()
+
+    sums = diagonal._sum_ranks
+    monkeypatch.setattr(diagonal, "_sum_ranks", lambda spec: np.zeros_like(sums(spec)))
+    now_spectral, now_multiset = _candidate_verdicts(base, ranks)
+    assert (now_spectral == spectral).all() and not now_multiset.any()
+    monkeypatch.undo()
+
+    chi = diagonal._pairing_exponents
+    monkeypatch.setattr(diagonal, "_pairing_exponents", lambda spec: np.zeros_like(chi(spec)))
+    now_spectral, now_multiset = _candidate_verdicts(base, ranks)
+    assert not now_spectral.any() and (now_multiset == multiset).all()
 
 
 def test_iter_product_splits_counts():

@@ -9,7 +9,8 @@ the second is checked directly.
 The count table behind ``sum_coverage`` and ``sum_multiset_check`` is checked
 against sums of group elements, and so is the witness both report: with
 |A||B| = |G|, or |P| = |G|, the first element (in rank order) that no pair
-sums to.
+sums to. The agreement harness checks its candidates in numpy batches; both
+of its verdicts are checked against ``check_diagonal_spectral``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,17 @@ from collections import Counter
 from itertools import combinations
 from unittest import mock
 
+import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectile import spectral
-from spectile.diagonal import sum_multiset_check
+from spectile import diagonal, spectral
+from spectile.diagonal import (
+    _candidate_verdicts,
+    check_diagonal_spectral,
+    diagonal_subgroup,
+    sum_multiset_check,
+)
 from spectile.groups import GroupElement, GroupSpec, PointSet, product_group
 from spectile.spectral import (
     _WALK_MIN_PAIRS,
@@ -229,3 +236,46 @@ def test_multiset_failure_names_the_first_uncovered_element(data):
     rep = sum_multiset_check(P)
     assert rep.ok == (g is None)
     assert rep.first_defect == (None if g is None else (g, 0))
+
+
+harness_groups = st.sampled_from([
+    GroupSpec(orders)
+    for orders in ([1], [2], [4], [6], [8], [9], [2, 2], [2, 4], [3, 3], [2, 6])
+])
+
+
+def harness_candidates(spec: GroupSpec, rng, count: int) -> np.ndarray:
+    """Ambient ranks of ``count`` candidates in G x G, every other one a planted transversal.
+
+    The transversal {(g, sigma(g) - g)} of a permutation sigma has the sums
+    sigma(G), each once, so it is spectral; a uniform candidate rarely is.
+    """
+    n = spec.order
+    elements = list(spec.elements())
+    rows = []
+    for k in range(count):
+        if k % 2:
+            rows.append(sorted(rng.sample(range(n * n), n)))
+        else:
+            sigma = rng.sample(elements, n)
+            rows.append(sorted(g.rank() * n + (s - g).rank() for g, s in zip(elements, sigma)))
+    return np.array(rows, dtype=np.int64)
+
+
+@SETTINGS
+@given(st.data())
+def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
+    spec = data.draw(harness_groups)
+    rng = data.draw(st.randoms(use_true_random=False))
+    ranks = harness_candidates(spec, rng, data.draw(st.integers(1, 40)))
+    # Small blocks make the candidates cross block boundaries.
+    entries = data.draw(st.sampled_from([None, 1, 100]))
+    with (
+        contextlib.nullcontext() if entries is None
+        else mock.patch.object(diagonal, "_CANDIDATE_ENTRIES", entries)
+    ):
+        spectral_ok, multiset_ok = _candidate_verdicts(spec, ranks)
+    pair = diagonal_subgroup(spec)
+    for row, s, m in zip(ranks, spectral_ok, multiset_ok):
+        v = check_diagonal_spectral(PointSet.from_ranks(pair.ambient, row.tolist()), pair=pair)
+        assert (s, m) == (v.spectral, v.multiset)
