@@ -202,8 +202,7 @@ def _first_failing_pair(
 
     Each row block of difference ranks first tests, in one batch, the
     differences that no earlier block has met; ``verdict`` keeps them per
-    group rank (0 untested, 1 vanishes, 2 does not). The blocks grow from
-    one row, so a failure in the first rows costs few tests. A block holds
+    group rank (0 untested, 1 vanishes, 2 does not). The block holds
     h_j - h_i, whose character sum is the complex conjugate of the one at
     h_i - h_j, so both vanish together. The first failing entry above the
     diagonal, in row-major order, is then the first failing pair of the

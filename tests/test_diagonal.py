@@ -263,13 +263,13 @@ def test_harness_rejects_threads_below_one(recorded_pools, threads):
 def flip_one_verdict(monkeypatch, route: str, index: int) -> None:
     """Make the batched route ``route`` flip its verdict on row ``index`` of its first block."""
     real = getattr(diagonal, route)
-    calls = []
+    first = [True]
 
     def flipped(*args):
         verdicts = real(*args)
-        if not calls:
+        if first:
+            first.pop()
             verdicts[index] = not verdicts[index]
-        calls.append(len(verdicts))
         return verdicts
 
     monkeypatch.setattr(diagonal, route, flipped)
