@@ -12,9 +12,13 @@ Three interlocking facts relate these subgroups to tiling, for a subset
 
 The first two are checked here: the sum-multiset test is the fast canonical
 path, the full pairwise-character verification is kept as an independent
-oracle, and the agreement harness runs both, batched in numpy, on streams of
-candidates. The third holds because ``a + b`` is constant on each
-antidiagonal coset; the tests check it against an enumeration of the cosets.
+oracle, and the agreement harness compares two routes to the verdict on
+streams of candidates. It checks its candidates by batched numpy forms of
+the two routes, whose reference is ``check_diagonal_spectral`` (a property
+test holds them to it), and its product splits through
+``product_with_diagonal``. The third holds because ``a + b`` is constant on
+each antidiagonal coset; the tests check it against an enumeration of the
+cosets.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from typing import Iterator
 
 import numpy as np
 
-from .cyclotomic import _batch_is_zero
 from .groups import (
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
@@ -39,12 +42,19 @@ from .groups import (
     product_group,
     product_point_set,
 )
-from .spectral import SpectrumCertificate, verify_spectral_pair
+from .spectral import (
+    _HISTOGRAM_ENTRIES,
+    SpectrumCertificate,
+    _coords_of,
+    _sums_vanish,
+    verify_spectral_pair,
+)
 from .tiling import (
     TilingCertificate,
     TilingFailure,
     _first_zero,
     _sum_table,
+    _translate_ranks,
     verify_tiling,
 )
 
@@ -154,6 +164,12 @@ class DiagonalCheck:
     spectral_detail: str = ""
 
 
+def _pairwise_cost(base: GroupSpec, points: int) -> int:
+    """Character evaluations of the pairwise route: diagonal pairs times points."""
+    n = base.order
+    return n * (n - 1) // 2 * points
+
+
 def check_diagonal_spectral(
     P: PointSet,
     pair: DiagonalPair | None = None,
@@ -167,8 +183,7 @@ def check_diagonal_spectral(
     """
     base = pair.base if pair is not None else _infer_base(P.group)
     report = sum_multiset_check(P, base)
-    n = base.order
-    pairwise_cost = n * (n - 1) // 2 * len(P)
+    pairwise_cost = _pairwise_cost(base, len(P))
     if pairwise_cost > pair_budget:
         return DiagonalCheck(
             spectral=None,
@@ -304,24 +319,10 @@ def _check_split(A: PointSet, B: PointSet) -> str | None:
     return None
 
 
-# The harness checks candidates in row blocks of at most this many exponents
-# (and as many histogram cells), so its temporaries stay small.
-_CANDIDATE_ENTRIES = 1 << 13
-
-
-def _sum_ranks(base: GroupSpec) -> np.ndarray:
-    """The addition table of the base group: sums[x, y] = rank(g_x + g_y)."""
-    coords = np.arange(base.order)[:, None] // base._strides % base.orders
-    sums = np.zeros((base.order, base.order), dtype=np.intp)
-    for n, s, c in zip(base.orders, base._strides, coords.T):
-        sums += (c[:, None] + c[None, :]) % n * s
-    return sums
-
-
 def _pairing_exponents(base: GroupSpec) -> np.ndarray:
-    """chi[x, k] = <h, g_x> mod L for h of rank k + 1: the nonzero characters."""
-    coords = np.arange(base.order)[:, None] // base._strides % base.orders
-    return (coords * base._char_weights) @ coords[1:].T % base.exponent
+    """chi[k, x] = <h, g_x> mod L for h of rank k + 1: the nonzero characters."""
+    coords = _coords_of(base, np.arange(base.order))
+    return coords[1:] * base._char_weights @ coords.T % base.exponent
 
 
 def _multiset_verdicts(sums: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -333,11 +334,9 @@ def _multiset_verdicts(sums: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 def _character_verdicts(chi: np.ndarray, L: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Character route: does sum_j zeta_L^(<h, a_ij> + <h, b_ij>) vanish at every h of ``chi``?"""
-    rows, chars = len(a), chi.shape[1]
-    exps = (chi[a] + chi[b]) % L  # (row, point, h)
-    exps += np.arange(0, rows * chars * L, L).reshape(rows, 1, chars)
-    hist = np.bincount(exps.ravel(), minlength=rows * chars * L).reshape(-1, L)
-    return _batch_is_zero(L, hist).reshape(rows, chars).all(axis=1)
+    exps = (chi[:, a] + chi[:, b]) % L  # (h, row, point)
+    vanish = _sums_vanish(L, exps.reshape(-1, a.shape[1]))
+    return vanish.reshape(len(chi), len(a)).all(axis=0)
 
 
 def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,10 +351,12 @@ def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray,
     histogram vanishes. Neither reads the other's table.
     """
     n = base.order
-    sums, chi = _sum_ranks(base), _pairing_exponents(base)
+    sums = _translate_ranks(base, PointSet.from_ranks(base, range(n)))
+    chi = _pairing_exponents(base)
     spectral = np.empty(len(ranks), dtype=bool)
     multiset = np.empty(len(ranks), dtype=bool)
-    rows = max(1, _CANDIDATE_ENTRIES // (max(1, n - 1) * n))
+    # Blocks of at most _HISTOGRAM_ENTRIES exponents, and as many histogram cells.
+    rows = max(1, _HISTOGRAM_ENTRIES // (max(1, n - 1) * n))
     for i in range(0, len(ranks), rows):
         a, b = np.divmod(ranks[i : i + rows].astype(np.intp), n)
         multiset[i : i + rows] = _multiset_verdicts(sums, a, b)
@@ -366,8 +367,7 @@ def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray,
 def _candidate_chunk_worker(args: tuple[tuple[int, ...], np.ndarray, int]) -> tuple[int, list[str]]:
     orders, chunk, pair_budget = args
     base = GroupSpec(orders)
-    n = base.order
-    if n * (n - 1) // 2 * n > pair_budget:  # check_diagonal_spectral's shortcut
+    if _pairwise_cost(base, base.order) > pair_budget:  # check_diagonal_spectral's shortcut
         return len(chunk), []
     spectral, multiset = _candidate_verdicts(base, chunk)
     ambient = product_group(base, base)

@@ -51,6 +51,23 @@ def char_sum_on_set(S: PointSet, h: GroupElement) -> CyclotomicSum:
     return CyclotomicSum(L, counts)
 
 
+def _coords_of(spec: GroupSpec, ranks: np.ndarray) -> np.ndarray:
+    """Row k holds the coordinates of the element of rank ``ranks[k]``."""
+    return ranks[:, None] // np.array(spec._strides) % np.array(spec.orders)
+
+
+def _sums_vanish(L: int, exps: np.ndarray) -> np.ndarray:
+    """Does sum_j zeta_L^exps[k, j] vanish, for each row k? Exponents lie in [0, L).
+
+    One histogram per row, offset per row into one ``bincount``, and one
+    ``_batch_is_zero`` for all of them.
+    """
+    rows = len(exps)
+    cells = exps + np.arange(0, rows * L, L, dtype=exps.dtype)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=rows * L).reshape(rows, L)
+    return _batch_is_zero(L, counts)
+
+
 def _vanishing_at(S: PointSet, ranks: np.ndarray) -> np.ndarray:
     """Does the character sum over S vanish at h, for the element h of each rank?
 
@@ -66,21 +83,18 @@ def _vanishing_at(S: PointSet, ranks: np.ndarray) -> np.ndarray:
     _reduction_table(L)  # the zero test's cost bound, before any histogram
     dtype = np.int32 if len(spec.orders) * L * L < 2**31 else np.int64
     points = np.array([p.coords for p in S.points], dtype=dtype).T
-    orders, strides = np.array(spec.orders), np.array(spec._strides)
     weights = np.array(spec._char_weights)
     out = np.empty(len(ranks), dtype=bool)
-    block = max(1, _HISTOGRAM_ENTRIES // max(len(S), L, len(orders)))
+    block = max(1, _HISTOGRAM_ENTRIES // max(len(S), L, len(spec.orders)))
     for i in range(0, len(ranks), block):
-        wh = (ranks[i:i + block, None] // strides % orders * weights % L).astype(dtype)
+        wh = (_coords_of(spec, ranks[i:i + block]) * weights % L).astype(dtype)
         exps = np.zeros((len(wh), len(S)), dtype=dtype)
         term = np.empty_like(exps)
         for w, coords in zip(wh.T, points):
             np.multiply(w[:, None], coords, out=term)
             exps += term
         exps %= L
-        exps += np.arange(0, len(wh) * L, L, dtype=dtype)[:, None]
-        counts = np.bincount(exps.ravel(), minlength=len(wh) * L).reshape(len(wh), L)
-        out[i:i + block] = _batch_is_zero(L, counts)
+        out[i:i + block] = _sums_vanish(L, exps)
     return out
 
 
@@ -163,27 +177,21 @@ def verify_spectral_pair(
     return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=pairs)
 
 
-def _difference_blocks(
-    spec: GroupSpec, ranks: np.ndarray, dtype, grow: bool = False
-) -> Iterator[tuple[int, np.ndarray]]:
+def _difference_blocks(spec: GroupSpec, ranks: np.ndarray, dtype) -> Iterator[tuple[int, np.ndarray]]:
     """Row blocks (i, D) of the difference ranks: D[a, j] = rank(g_j - g_(i+a)).
 
     The ranks are summed factor by factor: with x = c_j s and
     y = (-c_i mod n) s for a factor of order n and stride s, the term of
     the factor is x + y, less n s when that reaches n s. ``dtype`` must
-    hold twice the group order. Blocks hold ``_BLOCK_ENTRIES`` entries at
-    most; with ``grow`` they start at one row and double up to that, so a
-    walk that stops early pays for little more than the rows it read.
+    hold twice the group order.
     """
     terms = []
     for n, s in zip(spec.orders, spec._strides):
         c = ranks // s % n
         terms.append(((c * s).astype(dtype), (-c % n * s).astype(dtype), dtype(n * s)))
     size = len(ranks)
-    most = max(1, _BLOCK_ENTRIES // size)
-    block = 1 if grow else most
-    i = 0
-    while i < size:
+    block = max(1, _BLOCK_ENTRIES // size)
+    for i in range(0, size, block):
         diff = np.zeros((min(block, size - i), size), dtype=dtype)
         t = np.empty_like(diff)
         for x, y, wrap in terms:
@@ -191,8 +199,6 @@ def _difference_blocks(
             np.subtract(t, wrap, out=t, where=t >= wrap)
             diff += t
         yield i, diff
-        i += block
-        block = min(2 * block, most)
 
 
 def _first_failing_pair(
@@ -214,7 +220,7 @@ def _first_failing_pair(
     verdict = np.zeros(spec.order, dtype=np.int8)
     cols = np.arange(size)
     # Ranks stay below twice the enumeration budget, which int32 holds.
-    for i, diff in _difference_blocks(spec, ranks, np.int32, grow=True):
+    for i, diff in _difference_blocks(spec, ranks, np.int32):
         later = cols > np.arange(i, i + len(diff))[:, None]  # the pairs (i, j), j > i
         d = diff[later]
         pending = np.sort(d[verdict[d] == 0])

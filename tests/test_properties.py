@@ -272,7 +272,7 @@ def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
     entries = data.draw(st.sampled_from([None, 1, 100]))
     with (
         contextlib.nullcontext() if entries is None
-        else mock.patch.object(diagonal, "_CANDIDATE_ENTRIES", entries)
+        else mock.patch.object(diagonal, "_HISTOGRAM_ENTRIES", entries)
     ):
         spectral_ok, multiset_ok = _candidate_verdicts(spec, ranks)
     pair = diagonal_subgroup(spec)
