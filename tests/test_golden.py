@@ -6,9 +6,12 @@ and whose remaining lines are stdout verbatim. The corpus pins the witnesses
 the search and the verifiers report (failing pairs, spectra, node counts), so
 an optimization that changes which witness is printed fails here.
 
-Regenerate the expected files, only when an output change is intended, with::
+Record the expected files of cases that have none yet with::
 
     PYTHONPATH=src python tests/test_golden.py --record
+
+It writes only missing files, so recording a new case never rewrites an
+existing expectation. To change a case on purpose, delete its file first.
 """
 
 from __future__ import annotations
@@ -35,6 +38,19 @@ CASES: dict[str, list[str]] = {
     "check-tiling-cardinality": ["check-tiling", "z6_A.set", "z6_A.set"],
     "check-tiling-cardinality-json": ["check-tiling", "z6_A.set", "z6_A.set", "--json"],
     "check-tiling-budget": ["check-tiling", "z6_A.set", "z6_B.set", "--budget", "5"],
+    # the benchmark's 24^3 sets: the box [0,12)^3 tiles with {0,12}^3; with
+    # {0,11} x {0,12}^2 the first hole is (23,0,0), and with one corner moved
+    # from (12,12,0) to (12,11,0) it is (12,23,0)
+    "check-tiling-24pow3-ok": ["check-tiling", "24pow3_box12.set", "24pow3_corners.set"],
+    "check-tiling-24pow3-overlap": [
+        "check-tiling", "24pow3_box12.set", "24pow3_corners_bad.set",
+    ],
+    "check-tiling-24pow3-overlap-json": [
+        "check-tiling", "24pow3_box12.set", "24pow3_corners_bad.set", "--json",
+    ],
+    "check-tiling-24pow3-moved-corner": [
+        "check-tiling", "24pow3_box12.set", "24pow3_corners_moved.set",
+    ],
     # check-spectral: failures that name a pair, a pass, a cardinality miss
     "check-spectral-z12-pair": ["check-spectral", "z12_S6.set", "z12_L6_bad.set"],
     "check-spectral-2x6-pair": ["check-spectral", "2x6_S6.set", "2x6_L6_bad.set"],
@@ -48,6 +64,10 @@ CASES: dict[str, list[str]] = {
     # exponents with a repeated prime factor: 2520 = 2^3 3^2 5 7, 72 = 2^3 3^2
     "check-spectral-z2520-ok": ["check-spectral", "z2520_S12.set", "z2520_L12.set"],
     "check-spectral-z2520-pair": ["check-spectral", "z2520_S12.set", "z2520_L12_bad.set"],
+    # order 2^25 is above the enumeration budget, so the plain pair loop runs,
+    # on points of ranks up to 2^25 - 1
+    "check-spectral-2pow25-ok": ["check-spectral", "2pow25_S2.set", "2pow25_L2.set"],
+    "check-spectral-2pow25-pair": ["check-spectral", "2pow25_S2.set", "2pow25_L2_bad.set"],
     # the 4x4 box lifted at k=2, read in 8^4, against its scaled diagonal
     # spectrum (256 points, 32,640 pairs), and with one spectrum point moved
     "check-spectral-lift4x4-ok": [
@@ -140,6 +160,12 @@ CASES: dict[str, list[str]] = {
     "product-diagonal-z6-yes": ["product-diagonal", "z6_A.set", "z6_B.set"],
     "product-diagonal-2x4-yes": ["product-diagonal", "2x4_A.set", "2x4_B.set"],
     "product-diagonal-2x4-json": ["product-diagonal", "2x4_A.set", "2x4_B.set", "--json"],
+    "product-diagonal-24pow3-yes": [
+        "product-diagonal", "24pow3_box12.set", "24pow3_corners.set",
+    ],
+    "product-diagonal-24pow3-no": [
+        "product-diagonal", "24pow3_box12.set", "24pow3_corners_bad.set",
+    ],
     # harness: the trivial group, an exhaustive sweep (1,820 candidates),
     # samples at L=9 (the zero test's slices), in a product, over two workers
     "harness-1": ["harness", "--group", "1"],
@@ -181,8 +207,8 @@ def test_every_golden_file_has_a_case():
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --record")
-    for stale in GOLDEN.glob("*.out"):
-        stale.unlink()
     for case in sorted(CASES):
-        (GOLDEN / f"{case}.out").write_text(run_case(case), encoding="utf-8")
-        print(f"recorded {case}")
+        expected = GOLDEN / f"{case}.out"
+        if not expected.exists():
+            expected.write_text(run_case(case), encoding="utf-8")
+            print(f"recorded {case}")
