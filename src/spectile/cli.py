@@ -369,6 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 0:
+        print(f"error: --budget must be nonnegative, got {args.budget}", file=sys.stderr)
+        return _EXIT_USAGE
     try:
         code, lines, payload = args.handler(args)
     except BudgetExceededError as exc:

@@ -23,6 +23,7 @@ cosets.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import random
@@ -45,16 +46,14 @@ from .groups import (
 from .spectral import (
     _HISTOGRAM_ENTRIES,
     SpectrumCertificate,
-    _coords_of,
     _sums_vanish,
     verify_spectral_pair,
 )
 from .tiling import (
     TilingCertificate,
     TilingFailure,
+    _count_table,
     _first_zero,
-    _sum_table,
-    _translate_ranks,
     verify_tiling,
 )
 
@@ -83,23 +82,16 @@ def diagonal_subgroup(base: GroupSpec, budget: int = DEFAULT_ENUM_BUDGET) -> Dia
             f"|GxG| = {n * n} exceeds budget {budget} for the closure check"
         )
     ambient = product_group(base, base)
-    diag_pts = []
-    anti_pts = []
-    for g in base.elements(budget=budget):
-        diag_pts.append(GroupElement._trusted(ambient, g.coords + g.coords))
-        anti_pts.append(GroupElement._trusted(ambient, g.coords + (-g).coords))
-    diagonal = PointSet(ambient, diag_pts)
-    antidiagonal = PointSet(ambient, anti_pts)
+    ranks = np.arange(n)
+    negated = [(-g).rank() for g in base.elements(budget=budget)]
+    # rank((g, h)) = rank(g) |G| + rank(h)
+    diagonal = PointSet.from_ranks(ambient, ranks * n + ranks)
+    antidiagonal = PointSet.from_ranks(ambient, ranks * n + negated)
     for name, sub in (("diagonal", diagonal), ("antidiagonal", antidiagonal)):
-        members = {p.coords for p in sub.points}
-        if (0,) * len(ambient.orders) not in members:
-            raise AssertionError(f"{name} misses the identity")
-        for x in sub.points:
-            if (-x).coords not in members:
-                raise AssertionError(f"{name} is not closed under negation")
-            for y in sub.points:
-                if (x + y).coords not in members:
-                    raise AssertionError(f"{name} is not closed under addition")
+        # A finite set that holds 0 and is closed under addition is a subgroup.
+        m = sub.rank_array
+        if m[0] != 0 or not all(np.isin(ambient.add(x, m), m).all() for x in m):
+            raise AssertionError(f"{name} is not a subgroup")
     return DiagonalPair(base=base, ambient=ambient, diagonal=diagonal, antidiagonal=antidiagonal)
 
 
@@ -137,8 +129,8 @@ def sum_multiset_check(P: PointSet, base: GroupSpec | None = None) -> MultisetRe
     n = base.order
     if len(P) != n:
         raise ValueError(f"|P| = {len(P)} but |G| = {n}")
-    coords = [p.coords for p in P.points]
-    table = _sum_table(base, zip(coords, coords), len(base.orders))
+    a, b = np.divmod(P.rank_array[:, None], n)  # rank((a, b)) = rank(a) |G| + rank(b)
+    table = _count_table(base, a, b).tolist()
     r = _first_zero(table)
     return MultisetReport(
         ok=r is None,
@@ -266,22 +258,20 @@ def count_product_splits(spec: GroupSpec) -> int:
     return sum(math.comb(n, a) * math.comb(n, n // a) for a in _divisors(n))
 
 
+def _split_ranks(spec: GroupSpec) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The ranks of all (A, B) pairs with |A| * |B| = |G|, in deterministic order."""
+    n = spec.order
+    for a in _divisors(n):
+        for ranks_a in combinations(range(n), a):
+            for ranks_b in combinations(range(n), n // a):
+                yield ranks_a, ranks_b
+
+
 def iter_product_splits(spec: GroupSpec) -> Iterator[tuple[PointSet, PointSet]]:
     """All (A, B) pairs with |A| * |B| = |G|, in deterministic order."""
-    n = spec.order
-    elems = tuple(spec.elements())
-    subsets: dict[int, list[PointSet]] = {}
-    for a in _divisors(spec.order):
-        for size in (a, n // a):
-            if size not in subsets:
-                subsets[size] = [
-                    PointSet._from_sorted(spec, combo)
-                    for combo in combinations(elems, size)
-                ]
-    for a in _divisors(n):
-        for A in subsets[a]:
-            for B in subsets[n // a]:
-                yield A, B
+    as_set = functools.cache(functools.partial(PointSet.from_ranks, spec))
+    for ranks_a, ranks_b in _split_ranks(spec):
+        yield as_set(ranks_a), as_set(ranks_b)
 
 
 @dataclass(frozen=True)
@@ -309,27 +299,22 @@ class HarnessReport:
         return "\n".join(out)
 
 
-def _check_split(A: PointSet, B: PointSet) -> str | None:
-    v = product_with_diagonal(A, B)
-    if not v.agree:
-        return (
-            f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
-            f"tiling={v.tiling_ok} product-spectral={v.spectral_ok}"
-        )
-    return None
-
-
 def _pairing_exponents(base: GroupSpec) -> np.ndarray:
     """chi[k, x] = <h, g_x> mod L for h of rank k + 1: the nonzero characters."""
-    coords = _coords_of(base, np.arange(base.order))
+    coords = base.decode(np.arange(base.order))
     return coords[1:] * base._char_weights @ coords.T % base.exponent
 
 
-def _multiset_verdicts(sums: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table route: does row i of rank(a_ij + b_ij), read from ``sums``, hit every rank?"""
+def _multiset_verdicts(base: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Table route: does rank(a_ij + b_ij) hit every rank of the base, in each row i?
+
+    The count table over Z_rows x G holds the table of row i at rank i |G|,
+    in the first coordinate, which a_ij carries as an offset and b_ij leaves.
+    """
     rows, n = a.shape
-    cells = sums[a, b] + np.arange(0, rows * n, n)[:, None]
-    return np.bincount(cells.ravel(), minlength=rows * n).reshape(rows, n).all(axis=1)
+    stacked = GroupSpec((rows,) + base.orders)
+    table = _count_table(stacked, a + np.arange(0, rows * n, n)[:, None], b)
+    return table.reshape(rows, n).all(axis=1)
 
 
 def _character_verdicts(chi: np.ndarray, L: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,7 +336,6 @@ def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray,
     histogram vanishes. Neither reads the other's table.
     """
     n = base.order
-    sums = _translate_ranks(base, PointSet.from_ranks(base, range(n)))
     chi = _pairing_exponents(base)
     spectral = np.empty(len(ranks), dtype=bool)
     multiset = np.empty(len(ranks), dtype=bool)
@@ -359,7 +343,7 @@ def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray,
     rows = max(1, _HISTOGRAM_ENTRIES // (max(1, n - 1) * n))
     for i in range(0, len(ranks), rows):
         a, b = np.divmod(ranks[i : i + rows].astype(np.intp), n)
-        multiset[i : i + rows] = _multiset_verdicts(sums, a, b)
+        multiset[i : i + rows] = _multiset_verdicts(base, a, b)
         spectral[i : i + rows] = _character_verdicts(chi, base.exponent, a, b)
     return spectral, multiset
 
@@ -373,7 +357,7 @@ def _candidate_chunk_worker(args: tuple[tuple[int, ...], np.ndarray, int]) -> tu
     ambient = product_group(base, base)
     lines = []
     for k in np.flatnonzero(spectral != multiset):
-        P = PointSet.from_ranks(ambient, chunk[k].tolist())
+        P = PointSet.from_ranks(ambient, chunk[k])
         lines.append(
             f"disagree kind=candidate P={format_point_set(P)} "
             f"spectral={spectral[k]} multiset={multiset[k]}"
@@ -381,37 +365,32 @@ def _candidate_chunk_worker(args: tuple[tuple[int, ...], np.ndarray, int]) -> tu
     return len(chunk), lines
 
 
-def _split_chunk_worker(args: tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]]) -> tuple[int, list[str]]:
+def _split_chunk_worker(
+    args: tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]],
+) -> tuple[int, list[str]]:
     orders, chunk = args
-    spec = GroupSpec(orders)
-    elements = tuple(spec.elements())
+    as_set = functools.cache(functools.partial(PointSet.from_ranks, GroupSpec(orders)))
     lines = []
     for ranks_a, ranks_b in chunk:
-        A = PointSet._from_sorted(spec, tuple([elements[r] for r in ranks_a]))
-        B = PointSet._from_sorted(spec, tuple([elements[r] for r in ranks_b]))
-        line = _check_split(A, B)
-        if line:
-            lines.append(line)
+        A, B = as_set(ranks_a), as_set(ranks_b)
+        v = product_with_diagonal(A, B)
+        if not v.agree:
+            lines.append(
+                f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
+                f"tiling={v.tiling_ok} product-spectral={v.spectral_ok}"
+            )
     return len(chunk), lines
 
 
 def _run_chunked(worker, payloads: list, threads: int) -> tuple[int, list[str]]:
     if threads <= 1 or len(payloads) <= 1:
-        checked, lines = 0, []
-        for payload in payloads:
-            c, ls = worker(payload)
-            checked += c
-            lines.extend(ls)
-        return checked, lines
-    import multiprocessing
+        results = [worker(payload) for payload in payloads]
+    else:
+        import multiprocessing
 
-    with multiprocessing.Pool(processes=min(threads, len(payloads))) as pool:
-        results = pool.map(worker, payloads)
-    checked, lines = 0, []
-    for c, ls in results:
-        checked += c
-        lines.extend(ls)
-    return checked, lines
+        with multiprocessing.Pool(processes=min(threads, len(payloads))) as pool:
+            results = pool.map(worker, payloads)
+    return sum(c for c, _ in results), [line for _, ls in results for line in ls]
 
 
 def _chunks(items: list | np.ndarray, pieces: int) -> list:
@@ -464,9 +443,7 @@ def run_agreement_harness(
     total_s = count_product_splits(spec)
     if total_s <= budget:
         s_mode = "exhaustive"
-        split_ranks = [
-            (A.ranks(), B.ranks()) for A, B in iter_product_splits(spec)
-        ]
+        split_ranks = list(_split_ranks(spec))
     else:
         s_mode = "sampled"
         divs = _divisors(n)

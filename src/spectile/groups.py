@@ -14,6 +14,8 @@ import math
 import re
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 # Exhaustive walks (enumeration, coverage tables, closure checks) refuse to
 # touch more than this many elements unless the caller raises the budget.
 DEFAULT_ENUM_BUDGET = 1 << 24
@@ -21,6 +23,10 @@ DEFAULT_ENUM_BUDGET = 1 << 24
 # Parse-time size cap: specs whose order exceeds this are rejected outright.
 MAX_ORDER = (1 << 63) - 1
 MAX_FACTORS = 1024
+
+# Numpy temporaries (blocks of difference ranks or of pair sums, and cached
+# addition tables) hold at most this many entries, a few hundred kB.
+_BLOCK_ENTRIES = 1 << 15
 
 
 class BudgetExceededError(RuntimeError):
@@ -33,7 +39,7 @@ class GroupSpec:
     Two specs are equal iff their factor lists are equal.
     """
 
-    __slots__ = ("orders", "order", "exponent", "_strides", "_char_weights")
+    __slots__ = ("orders", "order", "exponent", "_strides", "_char_weights", "_radix", "_sums")
 
     def __init__(self, orders: Iterable[int]):
         facs = tuple(int(n) for n in orders)
@@ -57,6 +63,8 @@ class GroupSpec:
             strides[i] = strides[i + 1] * facs[i + 1]
         self._strides = tuple(strides)
         self._char_weights = tuple(self.exponent // n for n in facs)
+        self._radix = (np.array(strides, dtype=np.int64), np.array(facs, dtype=np.int64))
+        self._sums = None
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -93,6 +101,40 @@ class GroupSpec:
             coords.append(c)
         coords.reverse()
         return GroupElement._trusted(self, tuple(coords))
+
+    def encode(self, coords: Sequence[Sequence[int]]) -> np.ndarray:
+        """Ranks of the elements with the given reduced coordinates, one row each."""
+        strides, _ = self._radix
+        return np.array(coords, dtype=np.int64).reshape(-1, len(self.orders)) @ strides
+
+    def decode(self, ranks: np.ndarray) -> np.ndarray:
+        """Coordinates of the elements of the given ranks, in a new last axis."""
+        strides, orders = self._radix
+        return np.asarray(ranks, dtype=np.int64)[..., None] // strides % orders
+
+    def add(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:
+        """rank(g_x + g_y) for the int64 rank arrays (or ranks) x and y, broadcast together.
+
+        The sum accumulates factor by factor, so every temporary has the
+        broadcast shape. A factor of order n adds its coordinates a and b as
+        (a - (n - b)) mod n, whose terms int64 holds for every n up to
+        ``MAX_ORDER``. A group whose addition table fits in ``_BLOCK_ENTRIES``
+        entries builds that table on first use and reads sums from it: the
+        harness's splits and the tests' sweeps add sets of a few points,
+        where each numpy call costs more than the arithmetic.
+        """
+        if self.order * self.order <= _BLOCK_ENTRIES:
+            if self._sums is None:
+                ranks = np.arange(self.order)
+                self._sums = self._add_by_factor(ranks[:, None], ranks)
+            return self._sums[x, y]
+        return self._add_by_factor(x, y)
+
+    def _add_by_factor(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:
+        out = 0
+        for n, s in zip(self.orders, self._strides):
+            out = out + (x // s % n - (n - y // s % n)) % n * s
+        return out
 
     def elements(self, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[GroupElement]:
         """Yield every element exactly once, in lexicographic coordinate order."""
@@ -180,13 +222,17 @@ class GroupElement:
 
 
 class PointSet:
-    """A duplicate-free subset of a group, canonically sorted at construction.
+    """A duplicate-free subset of a group, stored as its sorted ranks.
 
-    Iteration order is the lexicographic coordinate order of the points, so
-    equal sets are bit-identical however they were assembled.
+    ``rank_array`` is a read-only int64 array of the ranks in ascending
+    order. The first coordinate has the largest stride, so ascending rank is
+    lexicographic coordinate order: iteration follows it, and equal sets are
+    bit-identical however they were assembled. ``points``, the elements as
+    :class:`GroupElement` objects, are the elements a set was built from, or
+    else are derived from the ranks on first use.
     """
 
-    __slots__ = ("group", "points", "_hash")
+    __slots__ = ("group", "rank_array", "_points", "_hash")
 
     def __init__(self, group: GroupSpec, elements: Iterable[GroupElement]):
         by_coords: dict[tuple[int, ...], GroupElement] = {}
@@ -197,19 +243,15 @@ class PointSet:
                     f"in {group.spec_string()}"
                 )
             by_coords.setdefault(el.coords, el)
-        keys = sorted(by_coords)
-        self.group = group
-        self.points = tuple([by_coords[c] for c in keys])
-        self._hash = hash((group.orders, tuple(keys)))
+        keys = sorted(by_coords)  # lexicographic coordinate order is rank order
+        self._set(group, group.encode(keys), tuple([by_coords[c] for c in keys]))
 
-    @classmethod
-    def _from_sorted(cls, group: GroupSpec, points: tuple[GroupElement, ...]) -> PointSet:
-        # Trusted path: points already deduplicated and in canonical order.
-        ps = object.__new__(cls)
-        ps.group = group
-        ps.points = points
-        ps._hash = hash((group.orders, tuple(p.coords for p in points)))
-        return ps
+    def _set(self, group: GroupSpec, ranks: np.ndarray, points: tuple | None) -> None:
+        ranks.flags.writeable = False
+        self.group = group
+        self.rank_array = ranks
+        self._points = points
+        self._hash = None
 
     @classmethod
     def from_coords(cls, group: GroupSpec, coords: Iterable[Iterable[int]]) -> PointSet:
@@ -217,16 +259,39 @@ class PointSet:
 
     @classmethod
     def from_ranks(cls, group: GroupSpec, ranks: Iterable[int]) -> PointSet:
-        return cls(group, [group.element_at(r) for r in ranks])
+        arr = np.array(ranks if isinstance(ranks, np.ndarray) else list(ranks), dtype=np.int64)
+        arr = arr.ravel()
+        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
+            # np.unique would import numpy.ma on first use, 15 ms
+            arr.sort()
+            arr = arr[np.diff(arr, prepend=arr[0] - 1) != 0]
+        if arr.size and (arr[0] < 0 or arr[-1] >= group.order):
+            raise ValueError(f"rank out of range for order {group.order}")
+        ps = object.__new__(cls)
+        ps._set(group, arr, None)
+        return ps
+
+    @property
+    def points(self) -> tuple[GroupElement, ...]:
+        if self._points is None:
+            g = self.group
+            self._points = tuple(
+                [GroupElement._trusted(g, tuple(c)) for c in g.decode(self.rank_array).tolist()]
+            )
+        return self._points
 
     def ranks(self) -> tuple[int, ...]:
-        return tuple(p.rank() for p in self.points)
+        return tuple(self.rank_array.tolist())
 
     def translate(self, t: GroupElement) -> PointSet:
-        return PointSet(self.group, [p + t for p in self.points])
+        if t.group != self.group:
+            raise ValueError(
+                f"ambient mismatch: {self.group.spec_string()} vs {t.group.spec_string()}"
+            )
+        return PointSet.from_ranks(self.group, self.group.add(self.rank_array, t.rank()))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.rank_array)
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.points)
@@ -234,14 +299,9 @@ class PointSet:
     def __contains__(self, el: GroupElement) -> bool:
         if not isinstance(el, GroupElement) or el.group != self.group:
             return False
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.points[mid].coords < el.coords:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.points) and self.points[lo].coords == el.coords
+        r = el.rank()
+        i = int(np.searchsorted(self.rank_array, r))
+        return i < len(self.rank_array) and self.rank_array[i] == r
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -249,14 +309,16 @@ class PointSet:
         return (
             isinstance(other, PointSet)
             and self.group == other.group
-            and self.points == other.points
+            and np.array_equal(self.rank_array, other.rank_array)
         )
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.group.orders, self.rank_array.tobytes()))
         return self._hash
 
     def __repr__(self) -> str:
-        return f"PointSet({self.group.spec_string()}, {len(self.points)} points)"
+        return f"PointSet({self.group.spec_string()}, {len(self)} points)"
 
 
 _SPEC_RE = re.compile(r"[0-9]+(?:\^[0-9]+)?(?:[x,][0-9]+(?:\^[0-9]+)?)*")
@@ -312,10 +374,6 @@ def product_point_set(
     """The Cartesian product ``A x B`` as a point set in the product group."""
     if product is None:
         product = product_group(A.group, B.group)
-    pts = tuple(
-        GroupElement._trusted(product, a.coords + b.coords)
-        for a in A.points
-        for b in B.points
-    )
-    # A and B are sorted, so the nested loop emits lexicographic order.
-    return PointSet._from_sorted(product, pts)
+    # rank((a, b)) = rank(a) |H| + rank(b) for B in H: ascending, as A and B are
+    ranks = A.rank_array[:, None] * B.group.order + B.rank_array
+    return PointSet.from_ranks(product, ranks)

@@ -15,14 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .diagonal import product_with_diagonal
-from .groups import (
-    DEFAULT_ENUM_BUDGET,
-    BudgetExceededError,
-    GroupElement,
-    GroupSpec,
-    PointSet,
-)
+from .groups import DEFAULT_ENUM_BUDGET, BudgetExceededError, GroupSpec, PointSet
 from .spectral import SpectrumCertificate, verify_spectral_pair
 from .tiling import verify_tiling
 
@@ -147,9 +143,7 @@ def to_quotient(A: BoxedSet, moduli: Iterable[int]) -> PointSet:
                     f"coordinate {c} of point {p} not below modulus {m}; "
                     "reduction would not be injective"
                 )
-    return PointSet._from_sorted(
-        spec, tuple(GroupElement._trusted(spec, p) for p in A.points)
-    )
+    return PointSet.from_coords(spec, A.points)
 
 
 def scaled_diagonal_spectrum(dims: Sequence[int], k: int) -> PointSet:
@@ -161,16 +155,10 @@ def scaled_diagonal_spectrum(dims: Sequence[int], k: int) -> PointSet:
     """
     base = GroupSpec(dims)
     quot = GroupSpec(tuple(k * n for n in dims) * 2)
-    pts = []
-    for g in base.elements():
-        doubled = g.coords + g.coords
-        for t in itertools.product(range(k), repeat=2 * len(dims)):
-            pts.append(
-                GroupElement._trusted(
-                    quot, tuple(k * c + tc for c, tc in zip(doubled, t))
-                )
-            )
-    return PointSet(quot, pts)
+    g = base.decode(np.arange(base.order))
+    t = GroupSpec((k,) * len(quot.orders)).decode(np.arange(k ** len(quot.orders)))
+    coords = k * np.concatenate([g, g], axis=1)[:, None, :] + t
+    return PointSet.from_ranks(quot, quot.encode(coords))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .cyclotomic import CyclotomicSum, _batch_is_zero, _reduction_table
-from .groups import DEFAULT_ENUM_BUDGET, GroupElement, GroupSpec, PointSet
+from .groups import _BLOCK_ENTRIES, DEFAULT_ENUM_BUDGET, GroupElement, GroupSpec, PointSet
 
 # From this many pairs on, verify_spectral_pair walks the pairs in numpy row
 # blocks and tests their distinct differences in batches.
@@ -29,9 +29,6 @@ _WALK_MIN_PAIRS = 256
 DEFAULT_SEARCH_NODES = 2_000_000
 MAX_SEARCH_ORDER = 4096
 
-# The numpy blocks of difference ranks hold at most this many entries, so
-# their temporaries stay at a few hundred kB whatever the sizes.
-_BLOCK_ENTRIES = 1 << 15
 # Histogram blocks are smaller, since bincount copies their exponents to
 # int64: at 2^15 entries the zero sets of 20-point sets in Z_2^12 raised
 # the peak RSS of find-spectrum by 0.2 MB.
@@ -49,11 +46,6 @@ def char_sum_on_set(S: PointSet, h: GroupElement) -> CyclotomicSum:
     for p in S.points:
         counts[sum(a * b for a, b in zip(wh, p.coords)) % L] += 1
     return CyclotomicSum(L, counts)
-
-
-def _coords_of(spec: GroupSpec, ranks: np.ndarray) -> np.ndarray:
-    """Row k holds the coordinates of the element of rank ``ranks[k]``."""
-    return ranks[:, None] // np.array(spec._strides) % np.array(spec.orders)
 
 
 def _sums_vanish(L: int, exps: np.ndarray) -> np.ndarray:
@@ -82,12 +74,12 @@ def _vanishing_at(S: PointSet, ranks: np.ndarray) -> np.ndarray:
     L = spec.exponent
     _reduction_table(L)  # the zero test's cost bound, before any histogram
     dtype = np.int32 if len(spec.orders) * L * L < 2**31 else np.int64
-    points = np.array([p.coords for p in S.points], dtype=dtype).T
+    points = spec.decode(S.rank_array).T.astype(dtype)
     weights = np.array(spec._char_weights)
     out = np.empty(len(ranks), dtype=bool)
     block = max(1, _HISTOGRAM_ENTRIES // max(len(S), L, len(spec.orders)))
     for i in range(0, len(ranks), block):
-        wh = (_coords_of(spec, ranks[i:i + block]) * weights % L).astype(dtype)
+        wh = (spec.decode(ranks[i:i + block]) * weights % L).astype(dtype)
         exps = np.zeros((len(wh), len(S)), dtype=dtype)
         term = np.empty_like(exps)
         for w, coords in zip(wh.T, points):
@@ -144,13 +136,13 @@ def verify_spectral_pair(
     spec, orders = S.group, S.group.orders
     if spectrum.group is not spec and spectrum.group != spec:
         raise ValueError("set and spectrum live in different groups")
-    size = len(spectrum.points)
-    if not S.points:
+    size, n = len(spectrum), len(S)
+    if not n:
         raise ValueError("empty sets are excluded (counting measure zero)")
-    if size != len(S.points):
+    if size != n:
         return SpectralFailure(
             kind="cardinality",
-            detail=f"|S|={len(S)} but |spectrum|={size}",
+            detail=f"|S|={n} but |spectrum|={size}",
         )
     pairs = size * (size - 1) // 2
     failing = None
@@ -186,8 +178,7 @@ def _difference_blocks(spec: GroupSpec, ranks: np.ndarray, dtype) -> Iterator[tu
     hold twice the group order.
     """
     terms = []
-    for n, s in zip(spec.orders, spec._strides):
-        c = ranks // s % n
+    for c, n, s in zip(spec.decode(ranks).T, spec.orders, spec._strides):
         terms.append(((c * s).astype(dtype), (-c % n * s).astype(dtype), dtype(n * s)))
     size = len(ranks)
     block = max(1, _BLOCK_ENTRIES // size)
@@ -215,7 +206,7 @@ def _first_failing_pair(
     walk.
     """
     spec = S.group
-    ranks = np.array([p.rank() for p in spectrum.points], dtype=np.int64)
+    ranks = spectrum.rank_array
     size = len(ranks)
     verdict = np.zeros(spec.order, dtype=np.int8)
     cols = np.arange(size)
@@ -230,7 +221,7 @@ def _first_failing_pair(
         bad = later & (verdict[diff] == 2)
         if bad.any():
             a, j = divmod(int(bad.argmax()), size)
-            return spectrum.points[i + a], spectrum.points[j]
+            return spec.element_at(int(ranks[i + a])), spec.element_at(int(ranks[j]))
     return None
 
 
@@ -266,8 +257,8 @@ def _galois_labels(spec: GroupSpec) -> np.ndarray:
     label = ranks
     for u in _unit_generators(L):
         step = np.zeros_like(ranks)
-        for n, s in zip(spec.orders, spec._strides):
-            step += ranks // s * u % n * s
+        for c, n, s in zip(spec.decode(ranks).T, spec.orders, spec._strides):
+            step += c * u % n * s
         for _ in range(L.bit_length()):  # 2^k > L > ord(u)
             label = np.minimum(label, label[step])
             step = step[step]
@@ -451,7 +442,7 @@ def find_spectrum(
     status, clique, nodes = _clique_search(adj, start, k, budget, canonical)
     if status != "found":
         return SpectrumSearch(status=status, certificate=None, nodes=nodes)
-    spectrum = PointSet.from_ranks(spec, ranks[clique].tolist())
+    spectrum = PointSet.from_ranks(spec, ranks[clique])
     cert = verify_spectral_pair(S, spectrum)
     if not isinstance(cert, SpectrumCertificate):
         raise RuntimeError(f"search produced a spectrum that fails re-verification: {cert}")

@@ -9,13 +9,11 @@ over the translates of ``A``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
-from typing import Iterable
 
 import numpy as np
 
 from .groups import (
+    _BLOCK_ENTRIES,
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     GroupElement,
@@ -25,28 +23,19 @@ from .groups import (
 from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER
 
 
-@lru_cache(maxsize=64)
-def _table_columns(spec: GroupSpec, shift: int) -> tuple[tuple[int, int, int, int], ...]:
-    # (index in x, index in y, order, stride) per factor. Cached: building it
-    # costs about as much as a whole 6-point table, and the agreement
-    # harness builds ~10^5 such tables.
-    d = len(spec.orders)
-    return tuple(zip(range(d), range(shift, shift + d), spec.orders, spec._strides))
+def _count_table(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Count table over ``spec``: entry r counts the pairs of ranks with rank(g_x + g_y) = r.
 
-
-def _sum_table(spec: GroupSpec, pairs: Iterable[tuple], shift: int = 0) -> list[int]:
-    """Count table over ``spec``: entry at rank(g) counts the pairs (x, y) with x + y = g.
-
-    x and y are coordinate tuples; the coordinates of y start at index
-    ``shift``, so a point p of G x G enters as (p, p) with shift d.
+    x and y are 2-D rank arrays, paired entry by entry after broadcasting;
+    y has one row, paired with every row of x, or as many rows as x. The
+    pairs are counted in row blocks of at most ``_BLOCK_ENTRIES`` pairs,
+    each added into the table at a cost linear in the block.
     """
-    cols = _table_columns(spec, shift)
-    table = [0] * spec.order
-    for x, y in pairs:
-        r = 0
-        for i, j, n, s in cols:
-            r += (x[i] + y[j]) % n * s
-        table[r] += 1
+    table = np.zeros(spec.order, dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // max(x.shape[1], y.shape[1]))
+    for i in range(0, len(x), rows):
+        cells = spec.add(x[i : i + rows], y if len(y) == 1 else y[i : i + rows])
+        np.add.at(table, cells.ravel(), 1)
     return table
 
 
@@ -70,7 +59,7 @@ def sum_coverage(
         raise BudgetExceededError(
             f"coverage table of size {spec.order} exceeds budget {budget}"
         )
-    return _sum_table(spec, product([a.coords for a in A.points], [b.coords for b in B.points]))
+    return _count_table(spec, A.rank_array[:, None], B.rank_array[None, :]).tolist()
 
 
 @dataclass(frozen=True)
@@ -125,16 +114,6 @@ def verify_tiling(
     )
 
 
-def _translate_ranks(spec: GroupSpec, A: PointSet) -> np.ndarray:
-    """Row u holds rank(g_u + a) for a in A, with g_u the element of rank u."""
-    ranks = np.arange(spec.order, dtype=np.int64)
-    sums = np.zeros((spec.order, len(A)), dtype=np.int64)
-    for k, (n, s) in enumerate(zip(spec.orders, spec._strides)):
-        shift = np.array([a.coords[k] for a in A.points], dtype=np.int64)
-        sums += (ranks[:, None] // s + shift) % n * s
-    return sums
-
-
 @dataclass(frozen=True)
 class ComplementSearch:
     """Outcome of a complement search: found / exhausted / budget."""
@@ -177,7 +156,7 @@ def find_complement(
     # Row u is the translate u + A: row_mask[u] masks the elements it covers,
     # rows_at[g] the rows that cover g, and clash[u] the rows that meet row u
     # (u among them). A row is blocked once it meets a chosen row.
-    row_cells = _translate_ranks(spec, A)
+    row_cells = spec.add(np.arange(n)[:, None], A.rank_array)
     row_mask = [sum(1 << g for g in cells.tolist()) for cells in row_cells]
     rows_at = [0] * n
     for u, cells in enumerate(row_cells):

@@ -205,6 +205,29 @@ def test_harness_threads_below_one_is_usage_error(files, capsys, threads):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-tiling", "S01", "L02"],
+    ["check-spectral", "S01", "L02"],
+    ["find-spectrum", "S01"],
+    ["find-complement", "S01"],
+    ["diagonal-check", "P_graph"],
+    ["product-diagonal", "S01", "L02"],
+    ["harness", "--group", "6"],
+    ["pipeline", "boxA", "boxB", "--k", "2"],
+], ids=lambda argv: argv[0])
+def test_negative_budget_is_usage_error(files, capsys, argv):
+    # Before, harness checked nothing and passed, and check-tiling reported
+    # a budget outcome (exit 3).
+    from spectile.cli import main
+
+    code = main([files.get(a, a) for a in argv] + ["--budget", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --budget must be nonnegative, got -1\n"
+    assert main([files.get(a, a) for a in argv] + ["--budget", "0"]) != 2
+
+
 def test_pipeline_4x4_k3(tmp_path, capsys):
     a = tmp_path / "A.set"
     b = tmp_path / "B.set"

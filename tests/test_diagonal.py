@@ -312,8 +312,8 @@ def test_batched_routes_read_separate_tables(monkeypatch):
     spectral, multiset = _candidate_verdicts(base, ranks)
     assert spectral.any() and not spectral.all()
 
-    sums = diagonal._translate_ranks
-    monkeypatch.setattr(diagonal, "_translate_ranks", lambda spec, A: np.zeros_like(sums(spec, A)))
+    table = diagonal._count_table
+    monkeypatch.setattr(diagonal, "_count_table", lambda spec, x, y: np.zeros_like(table(spec, x, y)))
     now_spectral, now_multiset = _candidate_verdicts(base, ranks)
     assert (now_spectral == spectral).all() and not now_multiset.any()
     monkeypatch.undo()

@@ -7,9 +7,12 @@ Both are checked here against naive references that test every pair and
 every element through the scalar zero test, and the Galois invariance behind
 the second is checked directly.
 The count table behind ``sum_coverage`` and ``sum_multiset_check`` is checked
-against sums of group elements, and so is the witness both report: with
-|A||B| = |G|, or |P| = |G|, the first element (in rank order) that no pair
-sums to. The agreement harness checks its candidates in numpy batches; both
+against sums of group elements, also in blocks small enough to split small
+inputs, and so is the witness both report: with |A||B| = |G|, or |P| = |G|,
+the first element (in rank order) that no pair sums to. Every way to build a
+``PointSet`` (elements, coordinates, ranks, a translate, a product, a set
+file) is checked against element arithmetic, also where ranks approach the
+int64 limit, and zero sets against translation. The agreement harness checks its candidates in numpy batches; both
 of its verdicts are checked against ``check_diagonal_spectral``.
 """
 
@@ -25,14 +28,22 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spectile import diagonal, spectral
+from spectile import diagonal, spectral, tiling
 from spectile.diagonal import (
     _candidate_verdicts,
     check_diagonal_spectral,
     diagonal_subgroup,
     sum_multiset_check,
 )
-from spectile.groups import GroupElement, GroupSpec, PointSet, product_group
+from spectile.groups import (
+    MAX_ORDER,
+    GroupElement,
+    GroupSpec,
+    PointSet,
+    product_group,
+    product_point_set,
+)
+from spectile.setfiles import point_set_from_file, serialize_point_set
 from spectile.spectral import (
     _WALK_MIN_PAIRS,
     _zero_set_ranks,
@@ -121,6 +132,14 @@ def small_blocks(data):
     return mock.patch.multiple(spectral, _BLOCK_ENTRIES=size, _HISTOGRAM_ENTRIES=size)
 
 
+def table_blocks(data):
+    """The count table's blocks at their size, or small enough to split small inputs."""
+    size = data.draw(st.sampled_from([None, 1, 100]))
+    if size is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(tiling, "_BLOCK_ENTRIES", size)
+
+
 def subsets(spec: GroupSpec, max_size: int):
     return st.sets(st.integers(0, spec.order - 1), min_size=1, max_size=max_size).map(
         lambda ranks: PointSet.from_ranks(spec, ranks)
@@ -179,6 +198,16 @@ def test_zero_set_matches_the_per_element_scan(data):
 
 @SETTINGS
 @given(st.data())
+def test_zero_set_is_translation_invariant(data):
+    # Z(1_{S+t}) = Z(1_S): translating S multiplies each character sum by a root of unity.
+    spec = data.draw(zero_set_groups)
+    S = data.draw(subsets(spec, 12))
+    t = spec.element_at(data.draw(st.integers(0, spec.order - 1)))
+    assert _zero_set_ranks(PointSet(spec, [p + t for p in S])) == _zero_set_ranks(S)
+
+
+@SETTINGS
+@given(st.data())
 def test_vanishing_is_invariant_under_units(data):
     spec = data.draw(small_groups | zero_set_groups)
     S = data.draw(subsets(spec, 12))
@@ -202,7 +231,8 @@ def test_coverage_table_counts_the_pair_sums(data):
     A = data.draw(subsets(spec, 12))
     B = data.draw(subsets(spec, 12))
     counts = Counter((a + b).rank() for a in A for b in B)
-    assert sum_coverage(A, B) == [counts[r] for r in range(spec.order)]
+    with table_blocks(data):
+        assert sum_coverage(A, B) == [counts[r] for r in range(spec.order)]
 
 
 @SETTINGS
@@ -233,7 +263,8 @@ def test_multiset_failure_names_the_first_uncovered_element(data):
     g = first_uncovered(
         spec, (GroupElement(spec, p.coords[:d]) + GroupElement(spec, p.coords[d:]) for p in P)
     )
-    rep = sum_multiset_check(P)
+    with table_blocks(data):
+        rep = sum_multiset_check(P)
     assert rep.ok == (g is None)
     assert rep.first_defect == (None if g is None else (g, 0))
 
@@ -279,3 +310,58 @@ def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
     for row, s, m in zip(ranks, spectral_ok, multiset_ok):
         v = check_diagonal_spectral(PointSet.from_ranks(pair.ambient, row.tolist()), pair=pair)
         assert (s, m) == (v.spectral, v.multiset)
+
+
+# Ranks of 7^22 and of the single factor MAX_ORDER come near the int64 limit.
+pointset_groups = st.one_of(
+    small_groups,
+    st.sampled_from([GroupSpec([7] * 22), GroupSpec([MAX_ORDER]), GroupSpec([3, 2**60, 2])]),
+)
+
+
+def lex_rank(spec: GroupSpec, coords: tuple[int, ...]) -> int:
+    r = 0
+    for c, n in zip(coords, spec.orders):
+        r = r * n + c
+    return r
+
+
+@SETTINGS
+@given(st.data())
+def test_point_set_constructors_agree(data):
+    spec = data.draw(pointset_groups)
+    coord = st.tuples(*(st.integers(0, n - 1) for n in spec.orders))
+    coords = data.draw(st.lists(coord, min_size=0, max_size=12))
+    rng = data.draw(st.randoms(use_true_random=False))
+    expected = sorted(set(coords))
+
+    shuffled = coords + rng.sample(coords, len(coords) // 2)  # with duplicates
+    rng.shuffle(shuffled)
+    multiples = st.integers(-3, 3)
+    unreduced = [tuple(c + data.draw(multiples) * n for c, n in zip(p, spec.orders)) for p in shuffled]
+    ranks = [lex_rank(spec, p) for p in shuffled]
+    built = [
+        PointSet(spec, [GroupElement(spec, p) for p in shuffled]),
+        PointSet.from_coords(spec, unreduced),
+        PointSet.from_ranks(spec, ranks),
+    ]
+    t = GroupElement(spec, data.draw(coord))
+    built.append(PointSet(spec, [GroupElement(spec, p) - t for p in coords]).translate(t))
+
+    outside = data.draw(coord)
+    for ps in built:
+        assert ps.ranks() == tuple(lex_rank(spec, p) for p in expected)
+        assert [p.coords for p in ps] == [p.coords for p in ps.points] == expected
+        assert ps == built[0] and hash(ps) == hash(built[0])
+        assert all(GroupElement(spec, p) in ps for p in coords)
+        assert (GroupElement(spec, outside) in ps) == (outside in expected)
+        assert point_set_from_file(serialize_point_set(ps)) == ps
+    assert built[0] != PointSet(spec, [GroupElement(spec, outside)]) or expected == [outside]
+
+    other = data.draw(small_groups)
+    if spec.order * other.order <= MAX_ORDER:
+        B = data.draw(subsets(other, 6))
+        prod = product_group(spec, other)
+        P = product_point_set(built[0], B)
+        assert P == PointSet(prod, [GroupElement(prod, a.coords + b.coords) for a in built[0] for b in B])
+        assert [p.coords for p in P] == sorted(a + b.coords for a in expected for b in B)
