@@ -177,6 +177,15 @@ CASES: dict[str, list[str]] = {
     "harness-8-threads": [
         "harness", "--group", "8", "--budget", "1000", "--seed", "2", "--threads", "2",
     ],
+    # the split stream's modes, counts and draw order: splits sampled over the
+    # six divisors of 12, all 3,936 splits of a group of three factors, and
+    # orders 64 cyclic and elementary abelian
+    "harness-12-sampled": ["harness", "--group", "12", "--budget", "2000", "--seed", "3"],
+    "harness-2x2x2-exhaustive": [
+        "harness", "--group", "2x2x2", "--budget", "5000", "--seed", "1",
+    ],
+    "harness-64-sampled": ["harness", "--group", "64", "--budget", "300", "--seed", "1"],
+    "harness-2pow6-sampled": ["harness", "--group", "2^6", "--budget", "300", "--seed", "1"],
 }
 
 
