@@ -15,21 +15,20 @@ path, the full pairwise-character verification is kept as an independent
 oracle, and the agreement harness compares two routes to the verdict on
 streams of candidates. It checks its candidates by batched numpy forms of
 the two routes, whose reference is ``check_diagonal_spectral`` (a property
-test holds them to it), and its product splits through
-``product_with_diagonal``. The third holds because ``a + b`` is constant on
-each antidiagonal coset; the tests check it against an enumeration of the
-cosets.
+test holds them to it), and each product split (A, B) as the candidate
+A x B, where the table route is the tiling test. The third holds because
+``a + b`` is constant on each antidiagonal coset; the tests check it
+against an enumeration of the cosets.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import random
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -46,6 +45,7 @@ from .groups import (
 from .spectral import (
     _HISTOGRAM_ENTRIES,
     SpectrumCertificate,
+    _galois_labels,
     _sums_vanish,
     verify_spectral_pair,
 )
@@ -248,30 +248,15 @@ def product_with_diagonal(A: PointSet, B: PointSet) -> ProductDiagonalResult:
 # Agreement harness
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
+def _split_counts(n: int) -> tuple[list[int], list[int]]:
+    """The divisors a of n, and for each the number C(n, a) C(n, n/a) of splits with |A| = a."""
+    divs = [a for a in range(1, n + 1) if n % a == 0]
+    return divs, [math.comb(n, a) * math.comb(n, n // a) for a in divs]
 
 
 def count_product_splits(spec: GroupSpec) -> int:
     """Number of (A, B) pairs with |A| * |B| = |G|."""
-    n = spec.order
-    return sum(math.comb(n, a) * math.comb(n, n // a) for a in _divisors(n))
-
-
-def _split_ranks(spec: GroupSpec) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The ranks of all (A, B) pairs with |A| * |B| = |G|, in deterministic order."""
-    n = spec.order
-    for a in _divisors(n):
-        for ranks_a in combinations(range(n), a):
-            for ranks_b in combinations(range(n), n // a):
-                yield ranks_a, ranks_b
-
-
-def iter_product_splits(spec: GroupSpec) -> Iterator[tuple[PointSet, PointSet]]:
-    """All (A, B) pairs with |A| * |B| = |G|, in deterministic order."""
-    as_set = functools.cache(functools.partial(PointSet.from_ranks, spec))
-    for ranks_a, ranks_b in _split_ranks(spec):
-        yield as_set(ranks_a), as_set(ranks_b)
+    return sum(_split_counts(spec.order)[1])
 
 
 @dataclass(frozen=True)
@@ -300,21 +285,27 @@ class HarnessReport:
 
 
 def _pairing_exponents(base: GroupSpec) -> np.ndarray:
-    """chi[k, x] = <h, g_x> mod L for h of rank k + 1: the nonzero characters."""
+    """chi[k, x] = <h_k, g_x> mod L, for the least nonzero h_k of each Galois class.
+
+    For u coprime to L, sigma_u maps the sum at (h, h) to the sum at
+    (u h, u h), so one h per class decides them all, as in ``_zero_set_ranks``.
+    """
+    label = _galois_labels(base)
+    reps = np.flatnonzero(label == np.arange(base.order))[1:]  # 0 is a class of its own
     coords = base.decode(np.arange(base.order))
-    return coords[1:] * base._char_weights @ coords.T % base.exponent
+    return coords[reps] * base._char_weights @ coords.T % base.exponent
 
 
-def _multiset_verdicts(base: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _multiset_verdicts(stacked: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Table route: does rank(a_ij + b_ij) hit every rank of the base, in each row i?
 
-    The count table over Z_rows x G holds the table of row i at rank i |G|,
-    in the first coordinate, which a_ij carries as an offset and b_ij leaves.
+    ``stacked`` is Z_m x G with m at least the number of rows. The count
+    table over it holds the table of row i at rank i |G|, in the first
+    coordinate, which a_ij carries as an offset and b_ij leaves.
     """
     rows, n = a.shape
-    stacked = GroupSpec((rows,) + base.orders)
     table = _count_table(stacked, a + np.arange(0, rows * n, n)[:, None], b)
-    return table.reshape(rows, n).all(axis=1)
+    return table[: rows * n].reshape(rows, n).all(axis=1)
 
 
 def _character_verdicts(chi: np.ndarray, L: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -331,73 +322,53 @@ def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray,
     G x G, split into the base ranks a and b. The table route counts
     rank(a_ij + b_ij) and passes iff no cell is 0, as
     ``sum_multiset_check`` does. The character route takes the exponents
-    <h, a_ij> + <h, b_ij> at every nonzero h, the differences (h, h) of the
-    diagonal that ``verify_spectral_pair(P, D)`` tests, and passes iff every
-    histogram vanishes. Neither reads the other's table.
+    <h, a_ij> + <h, b_ij> at one nonzero h per Galois class, the
+    differences (h, h) of the diagonal that ``verify_spectral_pair(P, D)``
+    tests, and passes iff every histogram vanishes. Neither reads the
+    other's table. For the row of a product A x B, the table route is the
+    tiling test of (A, B) and the character route the spectrality of
+    (A x B, D).
     """
     n = base.order
     chi = _pairing_exponents(base)
     spectral = np.empty(len(ranks), dtype=bool)
     multiset = np.empty(len(ranks), dtype=bool)
     # Blocks of at most _HISTOGRAM_ENTRIES exponents, and as many histogram cells.
-    rows = max(1, _HISTOGRAM_ENTRIES // (max(1, n - 1) * n))
+    rows = max(1, _HISTOGRAM_ENTRIES // (max(1, len(chi)) * n))
+    stacked = GroupSpec((rows,) + base.orders)
     for i in range(0, len(ranks), rows):
         a, b = np.divmod(ranks[i : i + rows].astype(np.intp), n)
-        multiset[i : i + rows] = _multiset_verdicts(base, a, b)
+        multiset[i : i + rows] = _multiset_verdicts(stacked, a, b)
         spectral[i : i + rows] = _character_verdicts(chi, base.exponent, a, b)
     return spectral, multiset
 
 
-def _candidate_chunk_worker(args: tuple[tuple[int, ...], np.ndarray, int]) -> tuple[int, list[str]]:
-    orders, chunk, pair_budget = args
-    base = GroupSpec(orders)
-    if _pairwise_cost(base, base.order) > pair_budget:  # check_diagonal_spectral's shortcut
-        return len(chunk), []
-    spectral, multiset = _candidate_verdicts(base, chunk)
-    ambient = product_group(base, base)
-    lines = []
-    for k in np.flatnonzero(spectral != multiset):
-        P = PointSet.from_ranks(ambient, chunk[k])
-        lines.append(
-            f"disagree kind=candidate P={format_point_set(P)} "
-            f"spectral={spectral[k]} multiset={multiset[k]}"
-        )
-    return len(chunk), lines
-
-
-def _split_chunk_worker(
-    args: tuple[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...]]]],
-) -> tuple[int, list[str]]:
-    orders, chunk = args
-    as_set = functools.cache(functools.partial(PointSet.from_ranks, GroupSpec(orders)))
-    lines = []
-    for ranks_a, ranks_b in chunk:
-        A, B = as_set(ranks_a), as_set(ranks_b)
-        v = product_with_diagonal(A, B)
-        if not v.agree:
-            lines.append(
-                f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
-                f"tiling={v.tiling_ok} product-spectral={v.spectral_ok}"
-            )
-    return len(chunk), lines
-
-
-def _run_chunked(worker, payloads: list, threads: int) -> tuple[int, list[str]]:
-    if threads <= 1 or len(payloads) <= 1:
-        results = [worker(payload) for payload in payloads]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=min(threads, len(payloads))) as pool:
-            results = pool.map(worker, payloads)
-    return sum(c for c, _ in results), [line for _, ls in results for line in ls]
-
-
-def _chunks(items: list | np.ndarray, pieces: int) -> list:
+def _chunks(items: np.ndarray, pieces: int) -> list[np.ndarray]:
     if pieces <= 1:
         return [items]
     size = max(1, (len(items) + pieces - 1) // pieces)
     return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _verdicts(base: GroupSpec, rows: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_candidate_verdicts`` of ``rows``, in one chunk per worker process."""
+    chunks = _chunks(rows, threads)
+    if threads <= 1 or len(chunks) <= 1:
+        results = [_candidate_verdicts(base, chunk) for chunk in chunks]
+    else:
+        import multiprocessing
+
+        with multiprocessing.Pool(processes=min(threads, len(chunks))) as pool:
+            results = pool.starmap(_candidate_verdicts, [(base, chunk) for chunk in chunks])
+    spectral, multiset = zip(*results)
+    return np.concatenate(spectral), np.concatenate(multiset)
+
+
+def _rank_rows(rows: Iterator[Iterable[int]], count: int, width: int, bound: int) -> np.ndarray:
+    """``count`` rows of ``width`` ranks below ``bound``, in the narrowest dtype that holds them."""
+    return np.fromiter(
+        chain.from_iterable(rows), dtype=np.min_scalar_type(bound - 1), count=count * width
+    ).reshape(count, width)
 
 
 def run_agreement_harness(
@@ -410,13 +381,22 @@ def run_agreement_harness(
     """Sweep candidate P sets and (A, B) splits, reporting any disagreement.
 
     Each stream runs exhaustively when its whole space fits the budget, and
-    otherwise checks ``budget`` seeded uniform samples. ``checked`` counts the
-    candidate P sets; splits are reported on their own line and both streams
-    feed ``disagreements``. ``threads`` must be at least 1; it is clamped to
-    the CPU count, and no more workers start than there are chunks.
+    otherwise checks ``budget`` seeded uniform samples: first all
+    candidates, then all splits. A split (A, B) is checked as the candidate
+    A x B, whose table route reads as the tiling verdict and whose character
+    route as the spectrality of (A x B, D). When the pairwise route of
+    ``check_diagonal_spectral`` would exceed ``pair_budget``, neither stream
+    is checked. ``checked`` counts the candidate P sets; splits are reported
+    on their own line and both streams feed ``disagreements``. ``threads``
+    must be at least 1; it is clamped to the CPU count, and no more workers
+    start than there are chunks.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
+    if budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {budget}")
+    if budget == 0:
+        raise BudgetExceededError("harness budget 0 checks no candidate and no split")
     threads = min(threads, os.cpu_count() or 1)
     n = spec.order
     rng = random.Random(seed)
@@ -425,47 +405,59 @@ def run_agreement_harness(
 
     total_p = math.comb(n2, n)
     if total_p <= budget:
-        p_mode = "exhaustive"
-        rows, drawn = total_p, combinations(range(n2), n)
+        p_mode, count, drawn = "exhaustive", total_p, combinations(range(n2), n)
     else:
-        p_mode = "sampled"
-        rows, drawn = budget, (sorted(rng.sample(range(n2), n)) for _ in range(budget))
-    # One row of ambient ranks per candidate, in the narrowest dtype that holds them.
-    candidates = np.fromiter(
-        chain.from_iterable(drawn), dtype=np.min_scalar_type(n2 - 1), count=rows * n
-    ).reshape(rows, n)
+        p_mode, count = "sampled", budget
+        drawn = (sorted(rng.sample(range(n2), n)) for _ in range(budget))
+    candidates = _rank_rows(drawn, count, n, n2)
 
-    payloads = [
-        (spec.orders, chunk, pair_budget) for chunk in _chunks(candidates, threads)
-    ]
-    checked, p_lines = _run_chunked(_candidate_chunk_worker, payloads, threads)
-
-    total_s = count_product_splits(spec)
-    if total_s <= budget:
-        s_mode = "exhaustive"
-        split_ranks = list(_split_ranks(spec))
+    divs, counts = _split_counts(n)
+    if sum(counts) <= budget:
+        s_mode, count = "exhaustive", sum(counts)
+        splits = (
+            (ra, rb)
+            for a in divs
+            for ra in combinations(range(n), a)
+            for rb in combinations(range(n), n // a)
+        )
     else:
-        s_mode = "sampled"
-        divs = _divisors(n)
-        weights = [math.comb(n, a) * math.comb(n, n // a) for a in divs]
-        split_ranks = []
-        for _ in range(budget):
-            a = rng.choices(divs, weights=weights)[0]
-            ra = tuple(sorted(rng.sample(range(n), a)))
-            rb = tuple(sorted(rng.sample(range(n), n // a)))
-            split_ranks.append((ra, rb))
-    s_payloads = [(spec.orders, chunk) for chunk in _chunks(split_ranks, threads)]
-    splits, s_lines = _run_chunked(_split_chunk_worker, s_payloads, threads)
+        s_mode, count = "sampled", budget
 
-    lines = tuple(p_lines + s_lines)
+        def draw() -> tuple[list[int], list[int]]:
+            a = rng.choices(divs, weights=counts)[0]
+            return sorted(rng.sample(range(n), a)), sorted(rng.sample(range(n), n // a))
+
+        splits = (draw() for _ in range(budget))
+    # The row of A x B: rank((a, b)) = rank(a) |G| + rank(b), ascending.
+    products = _rank_rows(
+        ((x * n + y for x in ra for y in rb) for ra, rb in splits), count, n, n2
+    )
+
+    lines = []
+    if _pairwise_cost(spec, n) <= pair_budget:  # else check_diagonal_spectral's shortcut
+        spectral, multiset = _verdicts(spec, candidates, threads)
+        for k in np.flatnonzero(spectral != multiset):
+            P = PointSet.from_ranks(pair.ambient, candidates[k])
+            lines.append(
+                f"disagree kind=candidate P={format_point_set(P)} "
+                f"spectral={spectral[k]} multiset={multiset[k]}"
+            )
+        spectral, tiling = _verdicts(spec, products, threads)
+        for k in np.flatnonzero(spectral != tiling):
+            A = PointSet.from_ranks(spec, products[k] // n)
+            B = PointSet.from_ranks(spec, products[k] % n)
+            lines.append(
+                f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
+                f"tiling={tiling[k]} product-spectral={spectral[k]}"
+            )
     return HarnessReport(
         spec=spec,
         mode=p_mode,
-        checked=checked,
+        checked=len(candidates),
         split_mode=s_mode,
-        splits=splits,
+        splits=len(products),
         disagreements=len(lines),
-        lines=lines,
+        lines=tuple(lines),
         seed=seed,
         budget=budget,
     )

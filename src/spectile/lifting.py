@@ -20,7 +20,6 @@ import numpy as np
 from .diagonal import product_with_diagonal
 from .groups import DEFAULT_ENUM_BUDGET, BudgetExceededError, GroupSpec, PointSet
 from .spectral import SpectrumCertificate, verify_spectral_pair
-from .tiling import verify_tiling
 
 DEFAULT_MAX_LIFT = 4
 
@@ -239,14 +238,13 @@ def tiling_product_pipeline(
 
     Aq = to_quotient(A, dims)
     Bq = to_quotient(B, dims)
-    t = verify_tiling(Aq, Bq)
-    if t.ok:
+    pd = product_with_diagonal(Aq, Bq)
+    if pd.tiling_ok:
         steps.append(PipelineStep("tiling", "pass", f"|A|={len(A)} |B|={len(B)}"))
     else:
-        steps.append(PipelineStep("tiling", "fail", t.detail))
+        steps.append(PipelineStep("tiling", "fail", pd.tiling.detail))
         return skip_rest(["product-diagonal", "lift-identity", "lifted-spectrum"])
 
-    pd = product_with_diagonal(Aq, Bq)
     if pd.agree and pd.spectral_ok:
         steps.append(
             PipelineStep(

@@ -1,10 +1,12 @@
-"""Shared test helpers: independent character oracles and a CLI runner."""
+"""Shared test helpers: independent character oracles, the product splits and a CLI runner."""
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-from typing import Sequence
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from spectile.cyclotomic import CyclotomicSum
 from spectile.groups import GroupElement, GroupSpec, PointSet
@@ -72,6 +74,17 @@ def meets_each_antidiagonal_coset_once(P: PointSet, base: GroupSpec) -> bool:
         ) == 1
         for a in base.elements()
     )
+
+
+def iter_product_splits(spec: GroupSpec) -> Iterator[tuple[PointSet, PointSet]]:
+    """All (A, B) pairs with |A| * |B| = |G|, in deterministic order."""
+    n = spec.order
+    as_set = functools.cache(functools.partial(PointSet.from_ranks, spec))
+    for a in range(1, n + 1):
+        if n % a == 0:
+            for ranks_a in combinations(range(n), a):
+                for ranks_b in combinations(range(n), n // a):
+                    yield as_set(ranks_a), as_set(ranks_b)
 
 
 def run_cli(args: list[str], capsys) -> tuple[int, str]:

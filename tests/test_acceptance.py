@@ -13,6 +13,7 @@ from itertools import combinations
 from conftest import (
     are_orthogonal,
     char_sum_of_pair_sums,
+    iter_product_splits,
     meets_each_antidiagonal_coset_once,
     run_cli,
 )
@@ -22,7 +23,6 @@ from spectile.diagonal import (
     check_diagonal_spectral,
     count_product_splits,
     diagonal_subgroup,
-    iter_product_splits,
     product_with_diagonal,
     run_agreement_harness,
     sum_multiset_check,

@@ -228,6 +228,17 @@ def test_negative_budget_is_usage_error(files, capsys, argv):
     assert main([files.get(a, a) for a in argv] + ["--budget", "0"]) != 2
 
 
+def test_zero_harness_budget_is_budget_outcome(capsys):
+    # Before, a budget of 0 sampled nothing and passed with checked=0.
+    from spectile.cli import main
+
+    code = main(["harness", "--group", "6", "--budget", "0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "budget exceeded: harness budget 0 checks no candidate and no split\n"
+
+
 def test_pipeline_4x4_k3(tmp_path, capsys):
     a = tmp_path / "A.set"
     b = tmp_path / "B.set"
@@ -336,18 +347,20 @@ def test_ascii_int_rejects_what_int_accepts():
 
 @pytest.fixture
 def flipped_multiset_route(monkeypatch):
-    """Make the multiset route report the opposite verdict."""
+    """Make the multiset route report the opposite verdict, also in the harness's batches."""
     import dataclasses
 
     from spectile import diagonal
 
     real = diagonal.sum_multiset_check
+    real_batch = diagonal._multiset_verdicts
 
     def flipped(*args, **kwargs):
         report = real(*args, **kwargs)
         return dataclasses.replace(report, ok=not report.ok)
 
     monkeypatch.setattr(diagonal, "sum_multiset_check", flipped)
+    monkeypatch.setattr(diagonal, "_multiset_verdicts", lambda *args: ~real_batch(*args))
 
 
 def run_cli_code(argv: list[str]) -> int:

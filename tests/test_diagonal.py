@@ -8,20 +8,29 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import char_sum_of_pair_sums, meets_each_antidiagonal_coset_once
-from spectile import diagonal
+from conftest import (
+    char_sum_of_pair_sums,
+    iter_product_splits,
+    meets_each_antidiagonal_coset_once,
+)
+from spectile import diagonal, tiling
 from spectile.cli import main
 from spectile.diagonal import (
     _candidate_verdicts,
     check_diagonal_spectral,
     count_product_splits,
     diagonal_subgroup,
-    iter_product_splits,
     product_with_diagonal,
     run_agreement_harness,
     sum_multiset_check,
 )
-from spectile.groups import GroupSpec, PointSet, format_point_set, product_group
+from spectile.groups import (
+    BudgetExceededError,
+    GroupSpec,
+    PointSet,
+    format_point_set,
+    product_group,
+)
 from spectile.spectral import char_sum_on_set
 from spectile.tiling import verify_tiling
 
@@ -225,8 +234,8 @@ def recorded_pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return [fn(x) for x in items]
+        def starmap(self, fn, items):
+            return [fn(*x) for x in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     return created
@@ -258,6 +267,31 @@ def test_harness_rejects_threads_below_one(recorded_pools, threads):
     with pytest.raises(ValueError, match="threads"):
         run_agreement_harness(GroupSpec([2]), threads=threads)
     assert recorded_pools == []
+
+
+def test_harness_budget_zero_and_negative():
+    with pytest.raises(BudgetExceededError, match="no candidate and no split"):
+        run_agreement_harness(GroupSpec([6]), budget=0)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        run_agreement_harness(GroupSpec([6]), budget=-1)
+
+
+def test_split_stream_reads_two_routes(monkeypatch):
+    # A count table that loses one count of its last nonzero cell fails every
+    # table route of the harness. The split stream reads its tiling verdict
+    # from the table and its product-spectral verdict from the characters,
+    # so the last split of the sweep, a tiling, now disagrees.
+    real = tiling._count_table
+
+    def dropped(spec, x, y):
+        table = real(spec, x, y)
+        table[np.flatnonzero(table)[-1]] -= 1
+        return table
+
+    monkeypatch.setattr(tiling, "_count_table", dropped)
+    monkeypatch.setattr(diagonal, "_count_table", dropped)
+    rep = run_agreement_harness(GroupSpec([4]))
+    assert "disagree kind=split A={0,1,2,3} B={3} tiling=False product-spectral=True" in rep.lines
 
 
 def flip_one_verdict(monkeypatch, route: str, index: int) -> None:

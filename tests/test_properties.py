@@ -13,7 +13,8 @@ the first element (in rank order) that no pair sums to. Every way to build a
 ``PointSet`` (elements, coordinates, ranks, a translate, a product, a set
 file) is checked against element arithmetic, also where ranks approach the
 int64 limit, and zero sets against translation. The agreement harness checks its candidates in numpy batches; both
-of its verdicts are checked against ``check_diagonal_spectral``.
+of its verdicts are checked against ``check_diagonal_spectral``, and the table verdict of a product row A x B
+against ``verify_tiling(A, B)``.
 """
 
 from __future__ import annotations
@@ -293,12 +294,48 @@ def harness_candidates(spec: GroupSpec, rng, count: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
+def product_splits(spec: GroupSpec, rng, count: int) -> list[tuple[PointSet, PointSet]]:
+    """``count`` pairs (A, B) with |A| |B| = |G|, every other one a tiling.
+
+    A subgroup H tiles with any transversal of its cosets, here the
+    translates of one representative per coset by random elements of H.
+    """
+    n = spec.order
+    elements = list(spec.elements())
+    out = []
+    for k in range(count):
+        if k % 2:
+            a = rng.choice([d for d in range(1, n + 1) if n % d == 0])
+            A = PointSet(spec, rng.sample(elements, a))
+            B = PointSet(spec, rng.sample(elements, n // a))
+        else:
+            # the cyclic subgroup of a random element, and a transversal
+            g = rng.choice(elements)
+            H = [spec.identity()]
+            while (h := H[-1] + g) != H[0]:
+                H.append(h)
+            A = PointSet(spec, H)
+            cosets, reps = set(), []
+            for x in elements:
+                key = min((x + h).rank() for h in H)
+                if key not in cosets:
+                    cosets.add(key)
+                    reps.append(x + rng.choice(H))
+            B = PointSet(spec, reps)
+        out.append((A, B))
+    return out
+
+
 @SETTINGS
 @given(st.data())
 def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
     spec = data.draw(harness_groups)
     rng = data.draw(st.randoms(use_true_random=False))
-    ranks = harness_candidates(spec, rng, data.draw(st.integers(1, 40)))
+    candidates = harness_candidates(spec, rng, data.draw(st.integers(1, 40)))
+    splits = product_splits(spec, rng, data.draw(st.integers(0, 10)))
+    n = spec.order
+    products = [(A.rank_array[:, None] * n + B.rank_array).ravel() for A, B in splits]
+    ranks = np.concatenate([candidates, np.array(products, dtype=np.int64).reshape(-1, n)])
     # Small blocks make the candidates cross block boundaries.
     entries = data.draw(st.sampled_from([None, 1, 100]))
     with (
@@ -310,6 +347,9 @@ def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
     for row, s, m in zip(ranks, spectral_ok, multiset_ok):
         v = check_diagonal_spectral(PointSet.from_ranks(pair.ambient, row.tolist()), pair=pair)
         assert (s, m) == (v.spectral, v.multiset)
+    # The table verdict of the row A x B is the tiling verdict of (A, B).
+    for (A, B), m in zip(splits, multiset_ok[len(candidates):]):
+        assert m == verify_tiling(A, B).ok
 
 
 # Ranks of 7^22 and of the single factor MAX_ORDER come near the int64 limit.
