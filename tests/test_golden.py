@@ -186,6 +186,19 @@ CASES: dict[str, list[str]] = {
     ],
     "harness-64-sampled": ["harness", "--group", "64", "--budget", "300", "--seed", "1"],
     "harness-2pow6-sampled": ["harness", "--group", "2^6", "--budget", "300", "--seed", "1"],
+    # the benchmark's two sampled sweeps, and an order above the pair budget,
+    # where neither stream is checked
+    "harness-6-sampled-json": [
+        "harness", "--group", "6", "--budget", "100000", "--seed", "7", "--threads", "1",
+        "--json",
+    ],
+    "harness-8-sampled-json": [
+        "harness", "--group", "8", "--budget", "30000", "--seed", "7", "--threads", "1",
+        "--json",
+    ],
+    "harness-512-above-pair-budget": [
+        "harness", "--group", "512", "--budget", "2000", "--seed", "1",
+    ],
 }
 
 
