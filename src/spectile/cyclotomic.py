@@ -8,7 +8,8 @@ slice leaves remainder 0 modulo the monic ``Phi_r``. ``Phi_n`` itself is the
 Moebius product of the binomials ``x^d - 1`` over the divisors d of n.
 Coefficients are Python ints throughout, so nothing can silently wrap.
 ``_batch_is_zero`` runs the same test on many sums at once in numpy, in
-int64 only where a bound on the coefficients rules out overflow.
+int64 only where a bound on the coefficients rules out overflow, on the
+remainders ``_remainders`` returns.
 
 One constant bounds the work: a zero test at L costs L + phi(r)(r - phi(r))
 steps (the slices plus the reduction table), and building ``Phi_n`` costs
@@ -105,15 +106,21 @@ def _reduction_matrix(L: int) -> np.ndarray:
 
 
 def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
-    """Row i: does sum_k counts[i, k] zeta_L^k vanish? ``CyclotomicSum.is_zero``, batched.
+    """Row i: does sum_k counts[i, k] zeta_L^k vanish? ``CyclotomicSum.is_zero``, batched."""
+    return (_remainders(L, counts) == 0).all(axis=(1, 2))
+
+
+def _remainders(L: int, counts: np.ndarray) -> np.ndarray:
+    """rem[i, :, j]: slice j of row i of ``counts`` modulo Phi_r; row i vanishes iff all are 0.
 
     ``counts`` is an integer array of shape (rows, L). Each row splits into
     the same L/r slices as in the scalar test, and one matrix product with
-    the reduction rows reduces every slice of every row modulo Phi_r. A
-    remainder coefficient is at most |S| (1 + (r - phi(r)) c) in absolute
-    value, where |S| bounds the absolute sum of a row (L times its largest
-    count) and c the reduction coefficients; below 2^62 the product runs
-    in int64, otherwise on Python ints.
+    the reduction rows reduces every slice of every row modulo Phi_r, so
+    the remainders are linear in the counts. A remainder coefficient is at
+    most |S| (1 + (r - phi(r)) c) in absolute value, where |S| bounds the
+    absolute sum of a row (L times its largest count) and c the reduction
+    coefficients; below 2^62 the product runs in int64, otherwise on Python
+    ints.
     """
     m, deg, _ = _reduction_table(L)
     r = L // m
@@ -123,8 +130,7 @@ def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
     if L * peak * (1 + (r - deg) * top) >= 2**62:
         counts, reduce = counts.astype(object), reduce.astype(object)
     slices = counts.reshape(len(counts), r, m)  # slices[i, t, j] = counts[i, j + m t]
-    rem = slices[:, :deg] + np.matmul(reduce, slices[:, deg:])
-    return (rem == 0).all(axis=(1, 2))
+    return slices[:, :deg] + np.matmul(reduce, slices[:, deg:])
 
 
 class CyclotomicSum:

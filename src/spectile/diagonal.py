@@ -12,12 +12,13 @@ Three interlocking facts relate these subgroups to tiling, for a subset
 
 The first two are checked here: the sum-multiset test is the fast canonical
 path, the full pairwise-character verification is kept as an independent
-oracle, and the agreement harness compares two routes to the verdict on
-streams of candidates. It checks its candidates by batched numpy forms of
-the two routes, whose reference is ``check_diagonal_spectral`` (a property
-test holds them to it), and each product split (A, B) as the candidate
-A x B, where the table route is the tiling test. The third holds because
-``a + b`` is constant on each antidiagonal coset; the tests check it
+oracle, ``product_with_diagonal`` sets the tiling test of (A, B) against the
+zero sets of A and B, and the agreement harness compares two routes to the
+verdict on streams of candidates. It checks its candidates by batched numpy
+forms of the two routes, whose reference is ``check_diagonal_spectral`` (a
+property test holds them to it), and each product split (A, B) as the
+candidate A x B, where the table route is the tiling test. The third holds
+because ``a + b`` is constant on each antidiagonal coset; the tests check it
 against an enumeration of the cosets.
 """
 
@@ -26,13 +27,17 @@ from __future__ import annotations
 import math
 import os
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain, combinations
+from functools import lru_cache
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Iterator
 
 import numpy as np
 
+from .cyclotomic import _reduction_table, _remainders
 from .groups import (
+    _BLOCK_ENTRIES,
     DEFAULT_ENUM_BUDGET,
     BudgetExceededError,
     GroupElement,
@@ -45,8 +50,9 @@ from .groups import (
 from .spectral import (
     _HISTOGRAM_ENTRIES,
     SpectrumCertificate,
-    _galois_labels,
+    _class_representatives,
     _sums_vanish,
+    _vanishing_at,
     verify_spectral_pair,
 )
 from .tiling import (
@@ -207,8 +213,7 @@ class ProductDiagonalResult:
     """Tiling verdict for (A, B) next to diagonal spectrality of A x B."""
 
     tiling: TilingCertificate | TilingFailure
-    multiset: MultisetReport
-    agree: bool
+    spectral_ok: bool
     product_set: PointSet
 
     @property
@@ -216,13 +221,56 @@ class ProductDiagonalResult:
         return self.tiling.ok
 
     @property
-    def spectral_ok(self) -> bool:
-        return self.multiset.ok
+    def agree(self) -> bool:
+        return self.tiling.ok == self.spectral_ok
+
+
+def _product_spectral(A: PointSet, B: PointSet) -> bool:
+    """Is (A x B, D) spectral? By the zero sets of A and B, never a count table.
+
+    For h != 0 the character sum of A x B at (h, h) is the product of the
+    sums of A and of B at h, and a product of cyclotomic integers vanishes
+    iff a factor does. So, with |A| |B| = |G|, (A x B, D) is spectral iff
+    Z(1_A) and Z(1_B) together cover every nonzero element of G. Zero sets
+    are unions of Galois classes (``_zero_set_ranks``), so one h per class
+    decides. In a group whose table of remainders (classes x |G| x phi(L))
+    fits ``_BLOCK_ENTRIES``, each set reads it, cached per group, since the
+    tests check millions of splits of groups up to order 12. Otherwise
+    the smaller set is tested at every class, in blocks, and the larger
+    only where the smaller's sum does not vanish.
+    """
+    spec = A.group
+    reps = _class_representatives(spec)
+    m, deg, _ = _reduction_table(spec.exponent)
+    if len(reps) * spec.order * m * deg <= _BLOCK_ENTRIES:
+        table = _reduced_characters(spec)
+        nonzero = [table[:, S.rank_array].sum(axis=1).any(axis=1) for S in (A, B)]
+        return not (nonzero[0] & nonzero[1]).any()
+    for S in sorted((A, B), key=len):
+        reps = reps[~_vanishing_at(S, reps)]
+    return len(reps) == 0
+
+
+@lru_cache(maxsize=8)
+def _reduced_characters(base: GroupSpec) -> np.ndarray:
+    """table[k, x]: the zero test's remainders of zeta_L^<h_k, g_x>, one h_k per Galois class.
+
+    The remainders are linear in the counts of a sum, and vanish iff the
+    sum does, so the sum of 1_S at h_k vanishes iff table[k, S] sums to 0:
+    per set, one lookup in place of a histogram and a zero test.
+    """
+    L = base.exponent
+    unit = _remainders(L, np.eye(L, dtype=np.int64)).reshape(L, -1)
+    table = unit[_pairing_exponents(base)]
+    table.flags.writeable = False
+    return table
 
 
 def product_with_diagonal(A: PointSet, B: PointSet) -> ProductDiagonalResult:
-    """Run verify_tiling(A, B) and the multiset test on A x B; compare.
+    """Run verify_tiling(A, B) and decide spectrality of (A x B, D); compare.
 
+    The tiling verdict reads the count table, the spectral one the exact
+    zero test (``_product_spectral``), so the two routes are independent.
     Requires |A| * |B| = |G|; the two verdicts are expected to agree always.
     """
     if A.group != B.group:
@@ -232,15 +280,10 @@ def product_with_diagonal(A: PointSet, B: PointSet) -> ProductDiagonalResult:
         raise ValueError(
             f"|A|*|B| = {len(A)}*{len(B)} != |G| = {spec.order}"
         )
-    tiling = verify_tiling(A, B)
-    prod = product_group(spec, spec)
-    P = product_point_set(A, B, prod)
-    report = sum_multiset_check(P, spec)
     return ProductDiagonalResult(
-        tiling=tiling,
-        multiset=report,
-        agree=tiling.ok == report.ok,
-        product_set=P,
+        tiling=verify_tiling(A, B),
+        spectral_ok=_product_spectral(A, B),
+        product_set=product_point_set(A, B, product_group(spec, spec)),
     )
 
 
@@ -290,10 +333,8 @@ def _pairing_exponents(base: GroupSpec) -> np.ndarray:
     For u coprime to L, sigma_u maps the sum at (h, h) to the sum at
     (u h, u h), so one h per class decides them all, as in ``_zero_set_ranks``.
     """
-    label = _galois_labels(base)
-    reps = np.flatnonzero(label == np.arange(base.order))[1:]  # 0 is a class of its own
     coords = base.decode(np.arange(base.order))
-    return coords[reps] * base._char_weights @ coords.T % base.exponent
+    return coords[_class_representatives(base)] * base._char_weights @ coords.T % base.exponent
 
 
 def _multiset_verdicts(stacked: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -371,6 +412,70 @@ def _rank_rows(rows: Iterator[Iterable[int]], count: int, width: int, bound: int
     ).reshape(count, width)
 
 
+def _random_below(rng: random.Random, bound: int, size: int) -> np.ndarray:
+    """``size`` uniform integers in [0, bound), for a bound of at most 2^64.
+
+    Exact, by rejection as in ``random.randrange``: each is the top
+    bit_length(bound - 1) bits of a 32- or 64-bit word from ``rng``, and a
+    value that reaches ``bound`` is dropped for the next word's. No modulo,
+    no floats.
+    """
+    bits = (bound - 1).bit_length()
+    width = 32 if bits <= 32 else 64
+    out = np.zeros(size, dtype=f"u{width // 8}")
+    done = 0
+    while bits and done < size:
+        # More than half of the words are kept; the margin makes one pass the rule.
+        want = (size - done) * (1 << bits) // bound + 64
+        words = np.frombuffer(rng.randbytes(want * width // 8), f"<u{width // 8}") >> (width - bits)
+        kept = words[words <= bound - 1][: size - done]
+        out[done : done + len(kept)] = kept
+        done += len(kept)
+    return out
+
+
+def _sorted_subsets(rng: random.Random, rows: int, k: int, m: int) -> np.ndarray:
+    """``rows`` uniform k-subsets of range(m), each ascending, in the narrowest dtype.
+
+    Floyd's algorithm (Bentley & Floyd, CACM 30, 1987) run on all rows of
+    a block at once: for j = m - k, ..., m - 1 draw t in [0, j], and take t
+    unless the row already holds it, else j. The blocks of at most
+    ``_HISTOGRAM_ENTRIES`` entries are drawn in place in the result.
+    """
+    out = np.empty((rows, k), dtype=np.min_scalar_type(m - 1))
+    step = max(1, _HISTOGRAM_ENTRIES // k)
+    for i in range(0, rows, step):
+        block = out[i : i + step]
+        for c, j in enumerate(range(m - k, m)):
+            t = _random_below(rng, j + 1, len(block))
+            block[:, c] = np.where((block[:, :c] == t[:, None]).any(axis=1), j, t)
+        block.sort(axis=1)
+    return out
+
+
+def _sampled_splits(rng: random.Random, rows: int, n: int) -> np.ndarray:
+    """``rows`` uniform splits (A, B) of a group of order n, each as the row of A x B.
+
+    A row draws |A| = a with weight C(n, a) C(n, n/a), its number of
+    splits, exactly: one ``randrange`` over their sum, which for n = 64
+    exceeds 2^64. Then the rows of each a draw A, then B, as subsets.
+    """
+    divs, counts = _split_counts(n)
+    cum = list(accumulate(counts))
+    which = np.fromiter(
+        (bisect_right(cum, rng.randrange(cum[-1])) for _ in range(rows)),
+        dtype=np.min_scalar_type(len(divs)), count=rows,
+    )
+    out = np.empty((rows, n), dtype=np.min_scalar_type(n * n - 1))
+    for i, a in enumerate(divs):
+        at = np.flatnonzero(which == i)
+        A = _sorted_subsets(rng, len(at), a, n).astype(out.dtype)
+        B = _sorted_subsets(rng, len(at), n // a, n)
+        # The row of A x B: rank((x, y)) = rank(x) |G| + rank(y), ascending.
+        out[at] = (A[:, :, None] * n + B[:, None, :]).reshape(len(at), n)
+    return out
+
+
 def run_agreement_harness(
     spec: GroupSpec,
     budget: int = DEFAULT_HARNESS_BUDGET,
@@ -381,15 +486,17 @@ def run_agreement_harness(
     """Sweep candidate P sets and (A, B) splits, reporting any disagreement.
 
     Each stream runs exhaustively when its whole space fits the budget, and
-    otherwise checks ``budget`` seeded uniform samples: first all
-    candidates, then all splits. A split (A, B) is checked as the candidate
-    A x B, whose table route reads as the tiling verdict and whose character
-    route as the spectrality of (A x B, D). When the pairwise route of
-    ``check_diagonal_spectral`` would exceed ``pair_budget``, neither stream
-    is checked. ``checked`` counts the candidate P sets; splits are reported
-    on their own line and both streams feed ``disagreements``. ``threads``
-    must be at least 1; it is clamped to the CPU count, and no more workers
-    start than there are chunks.
+    otherwise checks ``budget`` uniform samples drawn from ``seed`` in numpy
+    blocks: first all candidates, then all splits. A split (A, B) is
+    checked as the candidate A x B, whose table route reads as the tiling
+    verdict and whose character route as the spectrality of (A x B, D).
+    When the pairwise route of ``check_diagonal_spectral`` would exceed
+    ``pair_budget``, neither stream is drawn or checked, and ``checked`` and
+    ``splits`` still read the sizes of the streams. ``checked`` counts the
+    candidate P sets; splits are reported on their own line and both
+    streams feed ``disagreements``. ``threads`` must be at least 1; it is
+    clamped to the CPU count, and no more workers start than there are
+    chunks.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -402,39 +509,18 @@ def run_agreement_harness(
     rng = random.Random(seed)
     pair = diagonal_subgroup(spec)
     n2 = pair.ambient.order
-
     total_p = math.comb(n2, n)
-    if total_p <= budget:
-        p_mode, count, drawn = "exhaustive", total_p, combinations(range(n2), n)
-    else:
-        p_mode, count = "sampled", budget
-        drawn = (sorted(rng.sample(range(n2), n)) for _ in range(budget))
-    candidates = _rank_rows(drawn, count, n, n2)
-
     divs, counts = _split_counts(n)
-    if sum(counts) <= budget:
-        s_mode, count = "exhaustive", sum(counts)
-        splits = (
-            (ra, rb)
-            for a in divs
-            for ra in combinations(range(n), a)
-            for rb in combinations(range(n), n // a)
-        )
-    else:
-        s_mode, count = "sampled", budget
-
-        def draw() -> tuple[list[int], list[int]]:
-            a = rng.choices(divs, weights=counts)[0]
-            return sorted(rng.sample(range(n), a)), sorted(rng.sample(range(n), n // a))
-
-        splits = (draw() for _ in range(budget))
-    # The row of A x B: rank((a, b)) = rank(a) |G| + rank(b), ascending.
-    products = _rank_rows(
-        ((x * n + y for x in ra for y in rb) for ra, rb in splits), count, n, n2
-    )
+    total_s = sum(counts)
+    p_mode, checked = ("exhaustive", total_p) if total_p <= budget else ("sampled", budget)
+    s_mode, splits = ("exhaustive", total_s) if total_s <= budget else ("sampled", budget)
 
     lines = []
     if _pairwise_cost(spec, n) <= pair_budget:  # else check_diagonal_spectral's shortcut
+        if p_mode == "exhaustive":
+            candidates = _rank_rows(combinations(range(n2), n), total_p, n, n2)
+        else:
+            candidates = _sorted_subsets(rng, budget, n, n2)
         spectral, multiset = _verdicts(spec, candidates, threads)
         for k in np.flatnonzero(spectral != multiset):
             P = PointSet.from_ranks(pair.ambient, candidates[k])
@@ -442,6 +528,19 @@ def run_agreement_harness(
                 f"disagree kind=candidate P={format_point_set(P)} "
                 f"spectral={spectral[k]} multiset={multiset[k]}"
             )
+        if s_mode == "exhaustive":
+            # The row of A x B: rank((x, y)) = rank(x) |G| + rank(y), ascending.
+            products = _rank_rows(
+                (
+                    (x * n + y for x in ra for y in rb)
+                    for a in divs
+                    for ra in combinations(range(n), a)
+                    for rb in combinations(range(n), n // a)
+                ),
+                total_s, n, n2,
+            )
+        else:
+            products = _sampled_splits(rng, budget, n)
         spectral, tiling = _verdicts(spec, products, threads)
         for k in np.flatnonzero(spectral != tiling):
             A = PointSet.from_ranks(spec, products[k] // n)
@@ -453,9 +552,9 @@ def run_agreement_harness(
     return HarnessReport(
         spec=spec,
         mode=p_mode,
-        checked=len(candidates),
+        checked=checked,
         split_mode=s_mode,
-        splits=len(products),
+        splits=splits,
         disagreements=len(lines),
         lines=tuple(lines),
         seed=seed,

@@ -110,7 +110,9 @@ class GroupSpec:
     def decode(self, ranks: np.ndarray) -> np.ndarray:
         """Coordinates of the elements of the given ranks, in a new last axis."""
         strides, orders = self._radix
-        return np.asarray(ranks, dtype=np.int64)[..., None] // strides % orders
+        coords = np.asarray(ranks, dtype=np.int64)[..., None] // strides
+        coords %= orders
+        return coords
 
     def add(self, x: np.ndarray | int, y: np.ndarray | int) -> np.ndarray:
         """rank(g_x + g_y) for the int64 rank arrays (or ranks) x and y, broadcast together.

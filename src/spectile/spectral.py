@@ -234,11 +234,19 @@ def _zero_set_ranks(S: PointSet) -> list[int]:
     ranks of the classes are tested in one batch.
     """
     spec = S.group
-    label = _galois_labels(spec)
-    reps = np.flatnonzero(label == np.arange(spec.order))[1:]  # 0 is a class of its own
+    reps = _class_representatives(spec)
     zero = np.zeros(spec.order, dtype=bool)
     zero[reps] = _vanishing_at(S, reps)
-    return np.flatnonzero(zero[label]).tolist()
+    return np.flatnonzero(zero[_galois_labels(spec)]).tolist()
+
+
+@lru_cache(maxsize=8)
+def _class_representatives(spec: GroupSpec) -> np.ndarray:
+    """The least rank of each Galois class of nonzero elements, ascending."""
+    label = _galois_labels(spec)
+    reps = np.flatnonzero(label == np.arange(spec.order))[1:]  # 0 is a class of its own
+    reps.flags.writeable = False
+    return reps
 
 
 @lru_cache(maxsize=8)

@@ -346,14 +346,19 @@ def test_ascii_int_rejects_what_int_accepts():
 
 
 @pytest.fixture
-def flipped_multiset_route(monkeypatch):
-    """Make the multiset route report the opposite verdict, also in the harness's batches."""
+def flipped_route(monkeypatch):
+    """Make one route of each command report the opposite verdict.
+
+    The multiset route of diagonal-check and of the harness's batches, and
+    the factorised Fourier route that product-diagonal compares with tiling.
+    """
     import dataclasses
 
     from spectile import diagonal
 
     real = diagonal.sum_multiset_check
     real_batch = diagonal._multiset_verdicts
+    real_product = diagonal._product_spectral
 
     def flipped(*args, **kwargs):
         report = real(*args, **kwargs)
@@ -361,6 +366,7 @@ def flipped_multiset_route(monkeypatch):
 
     monkeypatch.setattr(diagonal, "sum_multiset_check", flipped)
     monkeypatch.setattr(diagonal, "_multiset_verdicts", lambda *args: ~real_batch(*args))
+    monkeypatch.setattr(diagonal, "_product_spectral", lambda A, B: not real_product(A, B))
 
 
 def run_cli_code(argv: list[str]) -> int:
@@ -378,11 +384,35 @@ def run_cli_code(argv: list[str]) -> int:
     ],
     ids=["diagonal-check", "product-diagonal", "harness"],
 )
-def test_route_disagreement_exits_4(files, capsys, flipped_multiset_route, argv, report):
+def test_route_disagreement_exits_4(files, capsys, flipped_route, argv, report):
     code = run_cli_code([files.get(a, a) for a in argv])
     captured = capsys.readouterr()
     assert code == 4
     assert report in captured.out
+    assert captured.err.startswith("disagreement: ")
+
+
+def test_product_diagonal_routes_read_separate_tables(files, capsys, monkeypatch):
+    # A count table that loses one count fails the tiling of {0,1} and {0,2}
+    # in Z_4. The product-spectral verdict comes from the zero sets, not from
+    # that table, so the two routes disagree.
+    import numpy as np
+
+    from spectile import diagonal, tiling
+
+    real = tiling._count_table
+
+    def dropped(spec, x, y):
+        table = real(spec, x, y)
+        table[np.flatnonzero(table)[-1]] -= 1
+        return table
+
+    monkeypatch.setattr(tiling, "_count_table", dropped)
+    monkeypatch.setattr(diagonal, "_count_table", dropped)
+    code = run_cli_code(["product-diagonal", files["S01"], files["L02"]])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "tiling=no product-spectral=yes agree=no\n"
     assert captured.err.startswith("disagreement: ")
 
 

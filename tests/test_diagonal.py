@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import random
@@ -371,3 +372,82 @@ def test_split_agreement_small_groups():
             res = product_with_diagonal(A, B)
             assert res.agree
             assert res.tiling_ok == verify_tiling(A, B).ok
+
+
+def test_harness_draws_nothing_above_the_pair_budget(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("drew rows that are never checked")
+
+    monkeypatch.setattr(diagonal, "_sorted_subsets", refuse)
+    monkeypatch.setattr(diagonal, "_sampled_splits", refuse)
+    rep = run_agreement_harness(GroupSpec([6]), budget=100, seed=1, pair_budget=0)
+    assert (rep.mode, rep.checked, rep.split_mode, rep.splits) == ("sampled", 100, "sampled", 100)
+    assert rep.lines == ()
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 3, 2**64])
+def test_random_below_covers_its_range_and_no_more(bound):
+    values = diagonal._random_below(random.Random(5), bound, 4000)
+    assert len(values) == 4000
+    assert (values <= bound - 1).all()
+    # the top bits are drawn: values reach the upper half of the range
+    assert values.max() >= bound // 2
+
+
+@pytest.mark.parametrize(
+    "rows, k, m",
+    [
+        (500, 1, 10),  # one element per row
+        (300, 7, 7),  # the whole range
+        (2 * 1365 + 7, 6, 36),  # two full blocks of 1365 rows and a part
+        (1000, 5, 2**40 + 3),  # bounds above 2^32
+        (200, 3, 2**64),
+    ],
+)
+@pytest.mark.parametrize("entries", [None, 10])
+def test_sorted_subsets_are_increasing_and_in_range(monkeypatch, rows, k, m, entries):
+    if entries is not None:
+        monkeypatch.setattr(diagonal, "_HISTOGRAM_ENTRIES", entries)
+    out = diagonal._sorted_subsets(random.Random(3), rows, k, m)
+    assert out.shape == (rows, k) and out.dtype == np.min_scalar_type(m - 1)
+    assert (out[:, 1:] > out[:, :-1]).all()
+    assert int(out.max()) <= m - 1
+    if k == m:
+        assert (out == np.arange(m)).all()
+
+
+def test_sorted_subsets_are_uniform():
+    # 200,000 draws of 3-subsets of range(6): each of the 20 within 5% of 10,000
+    out = diagonal._sorted_subsets(random.Random(11), 200_000, 3, 6).astype(np.int64)
+    counts = np.bincount(out @ np.array([36, 6, 1]), minlength=216)
+    hits = counts[[a * 36 + b * 6 + c for a, b, c in combinations(range(6), 3)]]
+    assert hits.sum() == 200_000
+    assert (np.abs(hits - 10_000) <= 500).all(), hits
+
+
+def test_sampled_splits_are_products_with_exact_divisor_weights():
+    n, rows = 12, 50_000
+    out = diagonal._sampled_splits(random.Random(2), rows, n).astype(np.int64)
+    for row in out[:200]:
+        A, B = np.unique(row // n), np.unique(row % n)
+        assert len(A) * len(B) == n
+        assert (row == (A[:, None] * n + B).ravel()).all()
+    sizes = (np.diff(out // n, axis=1) != 0).sum(axis=1) + 1
+    divs = [a for a in range(1, n + 1) if n % a == 0]
+    weights = [math.comb(n, a) * math.comb(n, n // a) for a in divs]
+    total = sum(weights)
+    for a, w in zip(divs, weights):
+        mean = rows * w / total
+        sd = math.sqrt(mean * (1 - w / total))
+        assert abs((sizes == a).sum() - mean) <= 5 * sd + 1, (a, (sizes == a).sum(), mean)
+
+
+def test_sampled_rows_follow_the_seed():
+    def draws(seed):
+        rng = random.Random(seed)
+        return diagonal._sorted_subsets(rng, 300, 8, 64), diagonal._sampled_splits(rng, 300, 8)
+
+    same, again, other = draws(4), draws(4), draws(5)
+    for x, y, z in zip(same, again, other):
+        assert (x == y).all()
+        assert (x != z).any()

@@ -14,7 +14,8 @@ the first element (in rank order) that no pair sums to. Every way to build a
 file) is checked against element arithmetic, also where ranks approach the
 int64 limit, and zero sets against translation. The agreement harness checks its candidates in numpy batches; both
 of its verdicts are checked against ``check_diagonal_spectral``, and the table verdict of a product row A x B
-against ``verify_tiling(A, B)``.
+against ``verify_tiling(A, B)``. The factorised Fourier route of ``product_with_diagonal``
+is checked against the pair check of A x B against the diagonal.
 """
 
 from __future__ import annotations
@@ -350,6 +351,27 @@ def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
     # The table verdict of the row A x B is the tiling verdict of (A, B).
     for (A, B), m in zip(splits, multiset_ok[len(candidates):]):
         assert m == verify_tiling(A, B).ok
+
+
+@SETTINGS
+@given(st.data())
+def test_factorised_product_route_matches_the_pair_check(data):
+    # (A x B, D) is spectral iff Z(1_A) and Z(1_B) cover G \ {0}; here the
+    # pair check of A x B against the diagonal, every difference (h, h).
+    spec = data.draw(harness_groups)
+    rng = data.draw(st.randoms(use_true_random=False))
+    pair = diagonal_subgroup(spec)
+    # Small groups read a cached table; without it, the blocked zero test runs.
+    blocks = data.draw(st.sampled_from([None, 0]))
+    with (
+        contextlib.nullcontext() if blocks is None
+        else mock.patch.object(diagonal, "_BLOCK_ENTRIES", blocks)
+    ):
+        for A, B in product_splits(spec, rng, 4):
+            P = product_point_set(A, B, pair.ambient)
+            expected = verify_spectral_pair(P, pair.diagonal).ok
+            assert diagonal._product_spectral(A, B) == expected
+            assert diagonal.product_with_diagonal(A, B).spectral_ok == expected
 
 
 # Ranks of 7^22 and of the single factor MAX_ORDER come near the int64 limit.
