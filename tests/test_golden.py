@@ -136,6 +136,15 @@ CASES: dict[str, list[str]] = {
     "find-complement-z2pow8-none-canonical": [
         "find-complement", "z2pow8_notile16.set", "--canonical",
     ],
+    # an 8-point tile of Z_2^10, the shape of the benchmark's complement
+    # searches: 128 nodes in both modes, and cut at half of them
+    "find-complement-z2pow10-tile8": ["find-complement", "z2pow10_tile8.set"],
+    "find-complement-z2pow10-tile8-canonical": [
+        "find-complement", "z2pow10_tile8.set", "--canonical",
+    ],
+    "find-complement-z2pow10-tile8-budget": [
+        "find-complement", "z2pow10_tile8.set", "--budget", "64",
+    ],
     "find-complement-z4pow4-found": ["find-complement", "z4pow4_tile8.set"],
     "find-complement-z4pow4-budget": [
         "find-complement", "z4pow4_tile8.set", "--budget", "20",
