@@ -231,10 +231,10 @@ class PointSet:
     lexicographic coordinate order: iteration follows it, and equal sets are
     bit-identical however they were assembled. ``points``, the elements as
     :class:`GroupElement` objects, are the elements a set was built from, or
-    else are derived from the ranks on first use.
+    else are derived from the ranks on first use, and the other way round.
     """
 
-    __slots__ = ("group", "rank_array", "_points", "_hash")
+    __slots__ = ("group", "_ranks", "_points", "_hash")
 
     def __init__(self, group: GroupSpec, elements: Iterable[GroupElement]):
         by_coords: dict[tuple[int, ...], GroupElement] = {}
@@ -245,15 +245,20 @@ class PointSet:
                     f"in {group.spec_string()}"
                 )
             by_coords.setdefault(el.coords, el)
-        keys = sorted(by_coords)  # lexicographic coordinate order is rank order
-        self._set(group, group.encode(keys), tuple([by_coords[c] for c in keys]))
+        self._set(group, None, tuple([by_coords[c] for c in sorted(by_coords)]))
 
-    def _set(self, group: GroupSpec, ranks: np.ndarray, points: tuple | None) -> None:
-        ranks.flags.writeable = False
+    def _set(self, group: GroupSpec, ranks: np.ndarray | None, points: tuple | None) -> None:
         self.group = group
-        self.rank_array = ranks
+        self._ranks = ranks
         self._points = points
         self._hash = None
+
+    @property
+    def rank_array(self) -> np.ndarray:
+        if self._ranks is None:  # lexicographic coordinate order is rank order
+            self._ranks = self.group.encode([p.coords for p in self._points])
+            self._ranks.flags.writeable = False
+        return self._ranks
 
     @classmethod
     def from_coords(cls, group: GroupSpec, coords: Iterable[Iterable[int]]) -> PointSet:
@@ -269,6 +274,7 @@ class PointSet:
             arr = arr[np.diff(arr, prepend=arr[0] - 1) != 0]
         if arr.size and (arr[0] < 0 or arr[-1] >= group.order):
             raise ValueError(f"rank out of range for order {group.order}")
+        arr.flags.writeable = False
         ps = object.__new__(cls)
         ps._set(group, arr, None)
         return ps
@@ -293,7 +299,7 @@ class PointSet:
         return PointSet.from_ranks(self.group, self.group.add(self.rank_array, t.rank()))
 
     def __len__(self) -> int:
-        return len(self.rank_array)
+        return len(self._points if self._ranks is None else self._ranks)
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.points)

@@ -106,12 +106,18 @@ class SpectrumCertificate:
 
 @dataclass(frozen=True)
 class SpectralFailure:
-    """Why a candidate pair is not spectral."""
+    """Why a candidate pair is not spectral; ``detail`` is formatted when read."""
 
     kind: str  # "cardinality" or "pair"
-    detail: str
+    sizes: tuple[int, int] | None = None  # |S|, |spectrum|
     pair: tuple[GroupElement, GroupElement] | None = None
     ok = False
+
+    @property
+    def detail(self) -> str:
+        if self.pair is None:
+            return "|S|={} but |spectrum|={}".format(*self.sizes)
+        return "characters {!r} and {!r} are not orthogonal on S".format(*self.pair)
 
 
 @lru_cache(maxsize=8)
@@ -140,10 +146,7 @@ def verify_spectral_pair(
     if not n:
         raise ValueError("empty sets are excluded (counting measure zero)")
     if size != n:
-        return SpectralFailure(
-            kind="cardinality",
-            detail=f"|S|={n} but |spectrum|={size}",
-        )
+        return SpectralFailure(kind="cardinality", sizes=(n, size))
     pairs = size * (size - 1) // 2
     failing = None
     if pairs >= _WALK_MIN_PAIRS and spec.order <= DEFAULT_ENUM_BUDGET:
@@ -160,12 +163,7 @@ def verify_spectral_pair(
                 failing = (h1, h2)
                 break
     if failing is not None:
-        h1, h2 = failing
-        return SpectralFailure(
-            kind="pair",
-            detail=f"characters {h1!r} and {h2!r} are not orthogonal on S",
-            pair=failing,
-        )
+        return SpectralFailure(kind="pair", pair=failing)
     return SpectrumCertificate(set=S, spectrum=spectrum, checked_pairs=pairs)
 
 
@@ -312,28 +310,6 @@ def _orthogonality_rows(spec: GroupSpec, ranks: np.ndarray, zero: np.ndarray) ->
     return rows
 
 
-def _color_classes(P: int, apart: list[int], limit: int = -1) -> list[int]:
-    """First-fit colour classes of the candidate mask P, in ascending bit order.
-
-    ``apart[v]`` is the mask of the vertices other than v not adjacent to it.
-    Each class takes the lowest uncoloured vertex, then repeatedly the lowest
-    one adjacent to none of its members; this gives exactly the classes of a
-    sequential first-fit colouring that visits the vertices in bit order.
-    A nonnegative ``limit`` stops after that many classes.
-    """
-    classes: list[int] = []
-    while P and len(classes) != limit:
-        cls = 0
-        Q = P
-        while Q:
-            bit = Q & -Q
-            cls |= bit
-            Q &= apart[bit.bit_length() - 1]
-        classes.append(cls)
-        P ^= cls
-    return classes
-
-
 def _clique_search(
     adj: list[int],
     start: int,
@@ -346,47 +322,74 @@ def _clique_search(
     Vertices are bits, and the bit order is the static order: descending
     degree (ties by index) in default mode, vertex index in canonical mode;
     ``find_spectrum`` builds the rows already relabelled. Default mode is
-    Tomita-style branch and bound: each node colours its candidates class by
-    class (``_color_classes``) and branches from the highest colour down,
-    ascending inside a class, until the colour bound cannot reach the target.
-    Canonical mode branches in ascending bit order, so the first clique found
-    is the lexicographically least one; the number of colour classes and the
-    count of remaining candidates prune only subtrees that cannot hold a
-    clique of the needed size. Both modes walk the tree depth first on one
-    explicit stack and differ only in the branch masks a node computes. The
-    cost is the node count times the colouring, which is linear in the
-    candidates of a node, each step one big-int AND over the vertex count.
-    """
-    full = (1 << len(adj)) - 1
-    apart = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+    Tomita-style branch and bound: each node colours its candidates first fit
+    in vertex order (each class takes the lowest uncoloured vertex, then
+    repeatedly the lowest one adjacent to none of its members) and branches
+    from the highest colour down, ascending inside a class, until the colour
+    bound cannot reach the target. Canonical mode branches in ascending
+    vertex order, so the first clique found is the lexicographically least
+    one; the number of colour classes and the count of remaining candidates
+    prune only subtrees that cannot hold a clique of the needed size. Both
+    modes walk the tree depth first on one explicit stack and differ only in
+    the branch masks a node computes.
 
-    def branch_masks(P: int, need: int) -> list[int]:
-        """The vertices a node branches on: the last mask first, each ascending."""
-        if P.bit_count() < need:
-            return []
-        if canonical:
-            if len(_color_classes(P, apart, need)) < need:
-                return []
-            for _ in range(need - 1):  # too few candidates follow these
-                P ^= 1 << (P.bit_length() - 1)
-            return [P]
-        return _color_classes(P, apart)[need - 1:]  # colours >= need
+    A node that needs ``need`` more vertices colours only until its fate is
+    known: with c classes built and R candidates uncoloured, at most c + |R|
+    classes can result, so c + |R| < need prunes it in either mode. Canonical
+    mode builds at most need - 1 classes. Each colouring step is one big-int
+    AND over the vertex count.
+    """
+    # Inside the kernel vertex v is bit V - 1 - v, so the lowest vertex of a
+    # mask Q is found by b = Q.bit_length(), as vertex V - b; the tables are
+    # indexed by that bit length.
+    V = len(adj)
+    full = (1 << V) - 1
+    near = [0] + [int(format(a, f"0{V}b")[::-1], 2) for a in reversed(adj)]
+    bit = [0] + [1 << i for i in range(V)]
+    apart = [full ^ a ^ b for a, b in zip(near, bit)]  # other non-neighbours
 
     # One frame per open node: the candidates not yet branched on, and the
-    # masks of the vertices still to branch on. Branching on v removes v from
-    # the candidates, so a child's candidates are the remaining ones adjacent
-    # to v (in canonical mode, exactly those after v).
+    # masks of the vertices still to branch on, the last mask first. Branching
+    # on v removes v from the candidates, so a child's candidates are the
+    # remaining ones adjacent to v (in canonical mode, exactly those after v).
     clique = [start]
-    P = adj[start]
+    P = near[V - start]
     frames: list[list] = []
     nodes = 0
     while True:
         nodes += 1
         if nodes > budget:
             return "budget", None, nodes
-        if len(clique) == target:
+        need = target - len(clique)
+        if not need:
             return "found", clique, nodes
-        frames.append([P, branch_masks(P, target - len(clique))])
+        rest = P
+        for c in range(need - 1):  # colours below need: removed, not branched on
+            if c + rest.bit_count() < need:
+                rest = 0
+                break
+            Q = rest
+            while Q:
+                b = Q.bit_length()
+                Q &= apart[b]
+                rest ^= bit[b]
+        masks = []
+        if canonical:
+            if rest:  # a class of colour need exists
+                first = P
+                for _ in range(need - 1):  # too few candidates follow these
+                    first &= first - 1
+                masks.append(first)
+        else:
+            while rest:
+                cls, Q = 0, rest
+                while Q:
+                    b = Q.bit_length()
+                    Q &= apart[b]
+                    cls |= bit[b]
+                masks.append(cls)
+                rest ^= cls
+        frames.append([P, masks])
         while not frames[-1][1]:
             frames.pop()
             if not frames:
@@ -394,14 +397,13 @@ def _clique_search(
             clique.pop()
         frame = frames[-1]
         masks = frame[1]
-        bit = masks[-1] & -masks[-1]
-        masks[-1] ^= bit
+        b = masks[-1].bit_length()
+        masks[-1] ^= bit[b]
         if not masks[-1]:
             masks.pop()
-        frame[0] ^= bit
-        v = bit.bit_length() - 1
-        clique.append(v)
-        P = frame[0] & adj[v]
+        frame[0] ^= bit[b]
+        clique.append(V - b)
+        P = frame[0] & near[b]
 
 
 def find_spectrum(

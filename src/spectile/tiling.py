@@ -153,9 +153,10 @@ def find_complement(
         )
     need = n // m
 
-    # Row u is the translate u + A: row_mask[u] masks the elements it covers,
-    # rows_at[g] the rows that cover g, and clash[u] the rows that meet row u
-    # (u among them). A row is blocked once it meets a chosen row.
+    # Row u is the translate u + A: row_cells[u] lists the elements it covers,
+    # row_mask[u] masks them, rows_at[g] masks the rows that cover g, and
+    # clash[u] the rows that meet row u (u among them). A row is blocked once
+    # it meets a chosen row.
     row_cells = spec.add(np.arange(n)[:, None], A.rank_array)
     row_mask = [sum(1 << g for g in cells.tolist()) for cells in row_cells]
     rows_at = [0] * n
@@ -169,36 +170,48 @@ def find_complement(
 
     full = (1 << n) - 1
     chosen = [0]
+    # Default mode keeps count[g], the free rows that cover element g, plus n
+    # once g is covered (every row covering it is then blocked), so the first
+    # minimum is the uncovered element with fewest free rows, ties to the
+    # smallest. Choosing row u subtracts the cells of the rows it blocks, and
+    # backtracking adds them back.
+    count = np.full(n, m)
+
+    def choose(u: int, blocked: int) -> list[int]:
+        """Count the choice of row u; returns the rows it blocks."""
+        rows, new = [], clash[u] & ~blocked
+        while new:
+            low = new & -new
+            rows.append(low.bit_length() - 1)
+            new ^= low
+        count[row_cells[u]] += n
+        np.subtract(count, np.bincount(row_cells[rows].ravel(), minlength=n), out=count)
+        return rows
+
+    def unchoose(u: int, rows: list[int]) -> None:
+        count[row_cells[u]] -= n
+        np.add(count, np.bincount(row_cells[rows].ravel(), minlength=n), out=count)
 
     def branch_rows(cover: int, blocked: int) -> int:
         """The rows a node branches on, taken in ascending order."""
         free = full ^ blocked
-        uncovered = full ^ cover
         if canonical:
             # the free rows after the last chosen one, provided one of them
             # covers the smallest uncovered element
             if len(chosen) == need:
                 return 0
             later = free & ~((2 << chosen[-1]) - 1)
+            uncovered = full ^ cover
             return later if rows_at[(uncovered & -uncovered).bit_length() - 1] & later else 0
-        # the free rows covering the uncovered element with fewest of them,
-        # ties to the smallest element
-        best_rows, best_count = 0, n + 1
-        while uncovered:
-            bit = uncovered & -uncovered
-            uncovered ^= bit
-            rows = rows_at[bit.bit_length() - 1] & free
-            count = rows.bit_count()
-            if count < best_count:
-                best_rows, best_count = rows, count
-                if not count:
-                    break
-        return best_rows
+        return rows_at[int(count.argmin())] & free
 
     # Depth first on an explicit stack: one frame per open node, holding its
-    # cover, its blocked rows and the rows it has still to branch on.
+    # cover, its blocked rows, the rows it has still to branch on and the
+    # rows its last branch blocked.
     cover, blocked = row_mask[0], clash[0]
-    frames: list[list[int]] = []
+    if not canonical:
+        choose(0, 0)
+    frames: list[list] = []
     nodes = 0
     while True:
         nodes += 1
@@ -206,17 +219,21 @@ def find_complement(
             return ComplementSearch(status="budget", certificate=None, nodes=nodes)
         if cover == full:
             break
-        frames.append([cover, blocked, branch_rows(cover, blocked)])
+        frames.append([cover, blocked, branch_rows(cover, blocked), None])
         while not frames[-1][2]:
             frames.pop()
             if not frames:
                 return ComplementSearch(status="exhausted", certificate=None, nodes=nodes)
-            chosen.pop()
+            u = chosen.pop()
+            if not canonical:
+                unchoose(u, frames[-1][3])
         frame = frames[-1]
         bit = frame[2] & -frame[2]
         frame[2] ^= bit
         u = bit.bit_length() - 1
         chosen.append(u)
+        if not canonical:
+            frame[3] = choose(u, frame[1])
         cover, blocked = frame[0] | row_mask[u], frame[1] | clash[u]
 
     B = PointSet.from_ranks(spec, chosen)
