@@ -177,20 +177,15 @@ def find_complement(
     # backtracking adds them back.
     count = np.full(n, m)
 
-    def choose(u: int, blocked: int) -> list[int]:
-        """Count the choice of row u; returns the rows it blocks."""
+    def shift(u: int, blocked: int, sign: int) -> None:
+        """Apply (sign 1) or undo (sign -1) the choice of row u on top of ``blocked``."""
         rows, new = [], clash[u] & ~blocked
         while new:
             low = new & -new
             rows.append(low.bit_length() - 1)
             new ^= low
-        count[row_cells[u]] += n
-        np.subtract(count, np.bincount(row_cells[rows].ravel(), minlength=n), out=count)
-        return rows
-
-    def unchoose(u: int, rows: list[int]) -> None:
-        count[row_cells[u]] -= n
-        np.add(count, np.bincount(row_cells[rows].ravel(), minlength=n), out=count)
+        count[row_cells[u]] += sign * n
+        np.subtract(count, sign * np.bincount(row_cells[rows].ravel(), minlength=n), out=count)
 
     def branch_rows(cover: int, blocked: int) -> int:
         """The rows a node branches on, taken in ascending order."""
@@ -206,12 +201,11 @@ def find_complement(
         return rows_at[int(count.argmin())] & free
 
     # Depth first on an explicit stack: one frame per open node, holding its
-    # cover, its blocked rows, the rows it has still to branch on and the
-    # rows its last branch blocked.
+    # cover, its blocked rows and the rows it has still to branch on.
     cover, blocked = row_mask[0], clash[0]
     if not canonical:
-        choose(0, 0)
-    frames: list[list] = []
+        shift(0, 0, 1)
+    frames: list[list[int]] = []
     nodes = 0
     while True:
         nodes += 1
@@ -219,21 +213,21 @@ def find_complement(
             return ComplementSearch(status="budget", certificate=None, nodes=nodes)
         if cover == full:
             break
-        frames.append([cover, blocked, branch_rows(cover, blocked), None])
+        frames.append([cover, blocked, branch_rows(cover, blocked)])
         while not frames[-1][2]:
             frames.pop()
             if not frames:
                 return ComplementSearch(status="exhausted", certificate=None, nodes=nodes)
             u = chosen.pop()
             if not canonical:
-                unchoose(u, frames[-1][3])
+                shift(u, frames[-1][1], -1)
         frame = frames[-1]
         bit = frame[2] & -frame[2]
         frame[2] ^= bit
         u = bit.bit_length() - 1
         chosen.append(u)
         if not canonical:
-            frame[3] = choose(u, frame[1])
+            shift(u, frame[1], 1)
         cover, blocked = frame[0] | row_mask[u], frame[1] | clash[u]
 
     B = PointSet.from_ranks(spec, chosen)
