@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_search_kernels import clique_number_at_zero, random_graph, relabel
 
 import reference_search as ref
 from spectile.groups import GroupSpec, PointSet
 from spectile.spectral import _clique_search
 from spectile.tiling import find_complement
+from test_search_kernels import clique_number_at_zero, random_graph, relabel
 
 SETTINGS = settings(max_examples=150, deadline=None)
 
