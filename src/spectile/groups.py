@@ -231,7 +231,7 @@ class PointSet:
     lexicographic coordinate order: iteration follows it, and equal sets are
     bit-identical however they were assembled. ``points``, the elements as
     :class:`GroupElement` objects, are the elements a set was built from, or
-    else are derived from the ranks on first use, and the other way round.
+    else are derived from the ranks on first use; ranks likewise.
     """
 
     __slots__ = ("group", "_ranks", "_points", "_hash")
