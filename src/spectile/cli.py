@@ -239,10 +239,10 @@ def _cmd_product_diagonal(args) -> tuple[int, list[str], dict]:
 def _cmd_harness(args) -> tuple[int, list[str], dict]:
     if args.group is None:
         raise ValueError("harness requires --group")
+    if args.threads < 1:
+        raise ValueError(f"threads must be at least 1, got {args.threads}")
     budget = args.budget if args.budget is not None else diag.DEFAULT_HARNESS_BUDGET
-    report = diag.run_agreement_harness(
-        args.group, budget=budget, seed=args.seed, threads=args.threads
-    )
+    report = diag.run_agreement_harness(args.group, budget=budget, seed=args.seed)
     payload = {
         "command": "harness",
         "group": report.spec.spec_string(),
@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=setfiles.ascii_int, default=0,
                        help="seed for any randomized sampling (default 0)")
         p.add_argument("--threads", type=setfiles.ascii_int, default=1,
-                       help="worker processes for the harness (default 1)")
+                       help="selects nothing; harness requires at least 1 (default 1)")
         p.add_argument("--canonical", action="store_true",
                        help="force the lexicographically least search witness")
         p.add_argument("--json", action="store_true",

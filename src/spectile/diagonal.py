@@ -25,13 +25,11 @@ against an enumeration of the cosets.
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -45,7 +43,6 @@ from .groups import (
     PointSet,
     format_point_set,
     product_group,
-    product_point_set,
 )
 from .spectral import (
     _HISTOGRAM_ENTRIES,
@@ -158,7 +155,6 @@ class DiagonalCheck:
     multiset: bool
     agree: bool | None
     shortcut: bool
-    multiset_report: MultisetReport
     spectral_detail: str = ""
 
 
@@ -188,7 +184,6 @@ def check_diagonal_spectral(
             multiset=report.ok,
             agree=None,
             shortcut=True,
-            multiset_report=report,
             spectral_detail=(
                 f"pairwise route skipped: {pairwise_cost} character evaluations "
                 f"exceed budget {pair_budget}"
@@ -203,7 +198,6 @@ def check_diagonal_spectral(
         multiset=report.ok,
         agree=spectral_ok == report.ok,
         shortcut=False,
-        multiset_report=report,
         spectral_detail="" if spectral_ok else res.detail,
     )
 
@@ -214,7 +208,6 @@ class ProductDiagonalResult:
 
     tiling: TilingCertificate | TilingFailure
     spectral_ok: bool
-    product_set: PointSet
 
     @property
     def tiling_ok(self) -> bool:
@@ -283,7 +276,6 @@ def product_with_diagonal(A: PointSet, B: PointSet) -> ProductDiagonalResult:
     return ProductDiagonalResult(
         tiling=verify_tiling(A, B),
         spectral_ok=_product_spectral(A, B),
-        product_set=product_point_set(A, B, product_group(spec, spec)),
     )
 
 
@@ -384,32 +376,12 @@ def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray,
     return spectral, multiset
 
 
-def _chunks(items: np.ndarray, pieces: int) -> list[np.ndarray]:
-    if pieces <= 1:
-        return [items]
-    size = max(1, (len(items) + pieces - 1) // pieces)
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _verdicts(base: GroupSpec, rows: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_candidate_verdicts`` of ``rows``, in one chunk per worker process."""
-    chunks = _chunks(rows, threads)
-    if threads <= 1 or len(chunks) <= 1:
-        results = [_candidate_verdicts(base, chunk) for chunk in chunks]
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=min(threads, len(chunks))) as pool:
-            results = pool.starmap(_candidate_verdicts, [(base, chunk) for chunk in chunks])
-    spectral, multiset = zip(*results)
-    return np.concatenate(spectral), np.concatenate(multiset)
-
-
-def _rank_rows(rows: Iterator[Iterable[int]], count: int, width: int, bound: int) -> np.ndarray:
-    """``count`` rows of ``width`` ranks below ``bound``, in the narrowest dtype that holds them."""
+def _all_subsets(m: int, k: int) -> np.ndarray:
+    """All k-subsets of range(m), each ascending, in lexicographic order and the narrowest dtype."""
     return np.fromiter(
-        chain.from_iterable(rows), dtype=np.min_scalar_type(bound - 1), count=count * width
-    ).reshape(count, width)
+        chain.from_iterable(combinations(range(m), k)),
+        dtype=np.min_scalar_type(m - 1), count=math.comb(m, k) * k,
+    ).reshape(-1, k)
 
 
 def _random_below(rng: random.Random, bound: int, size: int) -> np.ndarray:
@@ -480,7 +452,6 @@ def run_agreement_harness(
     spec: GroupSpec,
     budget: int = DEFAULT_HARNESS_BUDGET,
     seed: int = 0,
-    threads: int = 1,
     pair_budget: int = DEFAULT_PAIR_OPS,
 ) -> HarnessReport:
     """Sweep candidate P sets and (A, B) splits, reporting any disagreement.
@@ -494,17 +465,12 @@ def run_agreement_harness(
     ``pair_budget``, neither stream is drawn or checked, and ``checked`` and
     ``splits`` still read the sizes of the streams. ``checked`` counts the
     candidate P sets; splits are reported on their own line and both
-    streams feed ``disagreements``. ``threads`` must be at least 1; it is
-    clamped to the CPU count, and no more workers start than there are
-    chunks.
+    streams feed ``disagreements``. Both streams run in this process.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
     if budget == 0:
         raise BudgetExceededError("harness budget 0 checks no candidate and no split")
-    threads = min(threads, os.cpu_count() or 1)
     n = spec.order
     rng = random.Random(seed)
     pair = diagonal_subgroup(spec)
@@ -518,10 +484,10 @@ def run_agreement_harness(
     lines = []
     if _pairwise_cost(spec, n) <= pair_budget:  # else check_diagonal_spectral's shortcut
         if p_mode == "exhaustive":
-            candidates = _rank_rows(combinations(range(n2), n), total_p, n, n2)
+            candidates = _all_subsets(n2, n)
         else:
             candidates = _sorted_subsets(rng, budget, n, n2)
-        spectral, multiset = _verdicts(spec, candidates, threads)
+        spectral, multiset = _candidate_verdicts(spec, candidates)
         for k in np.flatnonzero(spectral != multiset):
             P = PointSet.from_ranks(pair.ambient, candidates[k])
             lines.append(
@@ -529,19 +495,19 @@ def run_agreement_harness(
                 f"spectral={spectral[k]} multiset={multiset[k]}"
             )
         if s_mode == "exhaustive":
-            # The row of A x B: rank((x, y)) = rank(x) |G| + rank(y), ascending.
-            products = _rank_rows(
+            # The rows of A x B for every a-subset A and (n/a)-subset B, B
+            # fastest: rank((x, y)) = rank(x) |G| + rank(y), ascending.
+            dtype = np.min_scalar_type(n2 - 1)
+            products = np.concatenate([
                 (
-                    (x * n + y for x in ra for y in rb)
-                    for a in divs
-                    for ra in combinations(range(n), a)
-                    for rb in combinations(range(n), n // a)
-                ),
-                total_s, n, n2,
-            )
+                    _all_subsets(n, a).astype(dtype)[:, None, :, None] * n
+                    + _all_subsets(n, n // a)[None, :, None, :]
+                ).reshape(-1, n)
+                for a in divs
+            ])
         else:
             products = _sampled_splits(rng, budget, n)
-        spectral, tiling = _verdicts(spec, products, threads)
+        spectral, tiling = _candidate_verdicts(spec, products)
         for k in np.flatnonzero(spectral != tiling):
             A = PointSet.from_ranks(spec, products[k] // n)
             B = PointSet.from_ranks(spec, products[k] % n)

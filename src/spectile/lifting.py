@@ -245,25 +245,17 @@ def tiling_product_pipeline(
         steps.append(PipelineStep("tiling", "fail", pd.tiling.detail))
         return skip_rest(["product-diagonal", "lift-identity", "lifted-spectrum"])
 
-    if pd.agree and pd.spectral_ok:
-        steps.append(
-            PipelineStep(
-                "product-diagonal",
-                "pass",
-                f"tiling={'yes' if pd.tiling_ok else 'no'} "
-                f"product-spectral={'yes' if pd.spectral_ok else 'no'} agree=yes",
-            )
+    ok = pd.agree and pd.spectral_ok
+    steps.append(
+        PipelineStep(
+            "product-diagonal",
+            "pass" if ok else "fail",
+            f"tiling={'yes' if pd.tiling_ok else 'no'} "
+            f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
+            f"agree={'yes' if pd.agree else 'no'}",
         )
-    else:
-        steps.append(
-            PipelineStep(
-                "product-diagonal",
-                "fail",
-                f"tiling={'yes' if pd.tiling_ok else 'no'} "
-                f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
-                f"agree={'yes' if pd.agree else 'no'}",
-            )
-        )
+    )
+    if not ok:
         return skip_rest(["lift-identity", "lifted-spectrum"])
 
     if product_lift_identity(A, B, k):

@@ -15,12 +15,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import mod, sub
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .cyclotomic import CyclotomicSum, _batch_is_zero, _reduction_table
 from .groups import _BLOCK_ENTRIES, DEFAULT_ENUM_BUDGET, GroupElement, GroupSpec, PointSet
+
+if TYPE_CHECKING:
+    from .tiling import TilingCertificate
 
 # From this many pairs on, verify_spectral_pair walks the pairs in numpy row
 # blocks and tests their distinct differences in batches.
@@ -287,11 +290,11 @@ def _unit_generators(L: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class SpectrumSearch:
-    """Outcome of a spectrum search: found / exhausted / budget."""
+class SearchOutcome:
+    """Outcome of a spectrum or complement search: found / exhausted / budget."""
 
     status: str
-    certificate: SpectrumCertificate | None
+    certificate: SpectrumCertificate | TilingCertificate | None
     nodes: int
     detail: str = ""
 
@@ -410,7 +413,7 @@ def find_spectrum(
     S: PointSet,
     budget: int = DEFAULT_SEARCH_NODES,
     canonical: bool = False,
-) -> SpectrumSearch:
+) -> SearchOutcome:
     """Search for a spectrum of S, or prove by exhaustion that none exists.
 
     Spectra are translation-invariant, so the search may fix 0 in the
@@ -425,7 +428,7 @@ def find_spectrum(
     if k == 0:
         raise ValueError("empty sets are excluded (counting measure zero)")
     if spec.order > MAX_SEARCH_ORDER:
-        return SpectrumSearch(
+        return SearchOutcome(
             status="budget",
             certificate=None,
             nodes=0,
@@ -436,7 +439,7 @@ def find_spectrum(
     # vertices are exactly the nonzero elements whose character sum vanishes.
     zero_diffs = _zero_set_ranks(S)
     if len(zero_diffs) + 1 < k:
-        return SpectrumSearch(status="exhausted", certificate=None, nodes=1)
+        return SearchOutcome(status="exhausted", certificate=None, nodes=1)
 
     zero = np.zeros(spec.order, dtype=bool)
     zero[zero_diffs] = True
@@ -451,9 +454,9 @@ def find_spectrum(
 
     status, clique, nodes = _clique_search(adj, start, k, budget, canonical)
     if status != "found":
-        return SpectrumSearch(status=status, certificate=None, nodes=nodes)
+        return SearchOutcome(status=status, certificate=None, nodes=nodes)
     spectrum = PointSet.from_ranks(spec, ranks[clique])
     cert = verify_spectral_pair(S, spectrum)
     if not isinstance(cert, SpectrumCertificate):
         raise RuntimeError(f"search produced a spectrum that fails re-verification: {cert}")
-    return SpectrumSearch(status="found", certificate=cert, nodes=nodes)
+    return SearchOutcome(status="found", certificate=cert, nodes=nodes)

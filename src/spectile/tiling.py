@@ -20,7 +20,7 @@ from .groups import (
     GroupSpec,
     PointSet,
 )
-from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER
+from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER, SearchOutcome
 
 
 def _count_table(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -114,21 +114,11 @@ def verify_tiling(
     )
 
 
-@dataclass(frozen=True)
-class ComplementSearch:
-    """Outcome of a complement search: found / exhausted / budget."""
-
-    status: str
-    certificate: TilingCertificate | None
-    nodes: int
-    detail: str = ""
-
-
 def find_complement(
     A: PointSet,
     budget: int = DEFAULT_SEARCH_NODES,
     canonical: bool = False,
-) -> ComplementSearch:
+) -> SearchOutcome:
     """Search for a tiling complement of A, or prove none exists.
 
     Complements are translation-closed, so the search fixes 0 in the
@@ -145,7 +135,7 @@ def find_complement(
     if n % m:
         raise ValueError(f"|A| = {m} does not divide |G| = {n}")
     if n > MAX_SEARCH_ORDER:
-        return ComplementSearch(
+        return SearchOutcome(
             status="budget",
             certificate=None,
             nodes=0,
@@ -210,14 +200,14 @@ def find_complement(
     while True:
         nodes += 1
         if nodes > budget:
-            return ComplementSearch(status="budget", certificate=None, nodes=nodes)
+            return SearchOutcome(status="budget", certificate=None, nodes=nodes)
         if cover == full:
             break
         frames.append([cover, blocked, branch_rows(cover, blocked)])
         while not frames[-1][2]:
             frames.pop()
             if not frames:
-                return ComplementSearch(status="exhausted", certificate=None, nodes=nodes)
+                return SearchOutcome(status="exhausted", certificate=None, nodes=nodes)
             u = chosen.pop()
             if not canonical:
                 shift(u, frames[-1][1], -1)
@@ -234,4 +224,4 @@ def find_complement(
     cert = verify_tiling(A, B)
     if not isinstance(cert, TilingCertificate):
         raise RuntimeError(f"search produced a complement that fails re-verification: {cert}")
-    return ComplementSearch(status="found", certificate=cert, nodes=nodes)
+    return SearchOutcome(status="found", certificate=cert, nodes=nodes)

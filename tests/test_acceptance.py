@@ -27,7 +27,7 @@ from spectile.diagonal import (
     run_agreement_harness,
     sum_multiset_check,
 )
-from spectile.groups import GroupSpec, PointSet, product_group
+from spectile.groups import GroupSpec, PointSet, product_group, product_point_set
 from spectile.lifting import BoxedSet, product_lift_identity
 from spectile.spectral import (
     SpectrumCertificate,
@@ -203,11 +203,10 @@ def test_desk_scale_pipeline_z24_cubed(tmp_path, capsys):
 
     # Full pairwise orthogonality is ~9.5e7 pairs; sample 1000 pairs instead
     # (declared, not hidden) and verify each directly.
-    res = product_with_diagonal(
+    P = product_point_set(
         PointSet.from_coords(spec, (r.split(",") for r in a_lines[1:])),
         PointSet.from_coords(spec, (r.split(",") for r in b_lines[1:])),
     )
-    P = res.product_set
     n = spec.order
     total_pairs = n * (n - 1) // 2
     rng = random.Random(0)

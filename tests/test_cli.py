@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -196,6 +198,19 @@ def test_harness_threads_flag_matches_serial(files, capsys):
     )
     serial = run_cli(["harness", "--group", "3", "--budget", "100"], capsys)
     assert parallel == serial
+
+
+def test_harness_starts_no_process(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the harness started a process pool")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    # More CPUs than threads, so that a pool sized by the CPU count would start.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    argv = ["harness", "--group", "8", "--budget", "1000", "--seed", "2", "--threads"]
+    two = run_cli(argv + ["2"], capsys)
+    assert two[0] == 0
+    assert two == run_cli(argv + ["1"], capsys)
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 import random
 from itertools import combinations
 
@@ -31,6 +29,7 @@ from spectile.groups import (
     PointSet,
     format_point_set,
     product_group,
+    product_point_set,
 )
 from spectile.spectral import char_sum_on_set
 from spectile.tiling import verify_tiling
@@ -213,63 +212,6 @@ def test_harness_sampled_is_deterministic():
     assert a.mode == "sampled" and a.checked == 200
 
 
-def test_harness_threads_match_serial():
-    g = GroupSpec([3])
-    serial = run_agreement_harness(g, budget=150, seed=1, threads=1)
-    parallel = run_agreement_harness(g, budget=150, seed=1, threads=2)
-    assert serial.render() == parallel.render()
-
-
-@pytest.fixture
-def recorded_pools(monkeypatch):
-    """Replace multiprocessing.Pool; record each ``processes``, map in-process."""
-    created: list[int] = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            created.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, items):
-            return [fn(*x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    return created
-
-
-@pytest.mark.parametrize(
-    "n, cpus, threads, pools",
-    [
-        # Z_3: 84 candidates in 4 chunks, 6 splits in 3 chunks of 2
-        (3, 4, 10**9, [4, 3]),
-        # Z_2: 6 candidates and 4 splits, one per chunk, below the CPU count
-        (2, 64, 10**6, [6, 4]),
-    ],
-)
-def test_harness_threads_clamped_to_cpus_and_chunks(
-    recorded_pools, monkeypatch, n, cpus, threads, pools
-):
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    g = GroupSpec([n])
-    serial = run_agreement_harness(g, seed=1)
-    assert recorded_pools == []
-    clamped = run_agreement_harness(g, seed=1, threads=threads)
-    assert recorded_pools == pools
-    assert clamped == serial
-
-
-@pytest.mark.parametrize("threads", [0, -1])
-def test_harness_rejects_threads_below_one(recorded_pools, threads):
-    with pytest.raises(ValueError, match="threads"):
-        run_agreement_harness(GroupSpec([2]), threads=threads)
-    assert recorded_pools == []
-
-
 def test_harness_budget_zero_and_negative():
     with pytest.raises(BudgetExceededError, match="no candidate and no split"):
         run_agreement_harness(GroupSpec([6]), budget=0)
@@ -372,6 +314,23 @@ def test_split_agreement_small_groups():
             res = product_with_diagonal(A, B)
             assert res.agree
             assert res.tiling_ok == verify_tiling(A, B).ok
+
+
+@pytest.mark.parametrize("orders", [[3], [2, 3], [2, 4]])
+def test_exhaustive_split_rows_are_every_product_in_order(monkeypatch, orders):
+    # The budget samples the candidates but covers every split, so the second
+    # batch checked is the exhaustive split stream.
+    batches = []
+    real = diagonal._candidate_verdicts
+    monkeypatch.setattr(
+        diagonal, "_candidate_verdicts", lambda base, rows: batches.append(rows) or real(base, rows)
+    )
+    g = GroupSpec(orders)
+    rep = run_agreement_harness(g, budget=count_product_splits(g), seed=0)
+    assert rep.split_mode == "exhaustive" and len(batches) == 2
+    expected = [product_point_set(A, B).rank_array for A, B in iter_product_splits(g)]
+    assert batches[1].dtype == np.min_scalar_type(g.order**2 - 1)
+    assert np.array_equal(batches[1], expected)
 
 
 def test_harness_draws_nothing_above_the_pair_budget(monkeypatch):

@@ -176,7 +176,8 @@ CASES: dict[str, list[str]] = {
         "product-diagonal", "24pow3_box12.set", "24pow3_corners_bad.set",
     ],
     # harness: the trivial group, an exhaustive sweep (1,820 candidates),
-    # samples at L=9 (the zero test's slices), in a product, over two workers
+    # samples at L=9 (the zero test's slices), in a product, and with
+    # --threads 2, which is accepted and selects nothing
     "harness-1": ["harness", "--group", "1"],
     "harness-4-exhaustive": ["harness", "--group", "4"],
     "harness-9-sampled": ["harness", "--group", "9", "--budget", "2000", "--seed", "3"],
