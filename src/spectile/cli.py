@@ -239,8 +239,6 @@ def _cmd_product_diagonal(args) -> tuple[int, list[str], dict]:
 def _cmd_harness(args) -> tuple[int, list[str], dict]:
     if args.group is None:
         raise ValueError("harness requires --group")
-    if args.threads < 1:
-        raise ValueError(f"threads must be at least 1, got {args.threads}")
     budget = args.budget if args.budget is not None else diag.DEFAULT_HARNESS_BUDGET
     report = diag.run_agreement_harness(args.group, budget=budget, seed=args.seed)
     payload = {
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=setfiles.ascii_int, default=0,
                        help="seed for any randomized sampling (default 0)")
         p.add_argument("--threads", type=setfiles.ascii_int, default=1,
-                       help="selects nothing; harness requires at least 1 (default 1)")
+                       help="must be at least 1; selects nothing (default 1)")
         p.add_argument("--canonical", action="store_true",
                        help="force the lexicographically least search witness")
         p.add_argument("--json", action="store_true",
@@ -371,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.budget is not None and args.budget < 0:
         print(f"error: --budget must be nonnegative, got {args.budget}", file=sys.stderr)
+        return _EXIT_USAGE
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}", file=sys.stderr)
         return _EXIT_USAGE
     try:
         code, lines, payload = args.handler(args)

@@ -299,17 +299,53 @@ class SearchOutcome:
     detail: str = ""
 
 
+def _packed_graph(
+    spec: GroupSpec, ranks: np.ndarray, zero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The orthogonality graph on the vertices ``ranks``, packed, and its degrees.
+
+    Row i of the packed graph holds, in little bit order, bit j iff
+    rank(g_j - g_i) is in the zero set, given as the boolean array ``zero``
+    over group ranks. One pass over the difference blocks gives both.
+    """
+    size = len(ranks)
+    packed = np.empty((size, (size + 7) // 8), dtype=np.uint8)
+    degree = np.empty(size, dtype=np.int64)
+    # Every value stays below 2 * MAX_SEARCH_ORDER, which int16 holds.
+    for i, diff in _difference_blocks(spec, ranks, np.int16):
+        adj = zero[diff]
+        degree[i:i + len(adj)] = np.count_nonzero(adj, axis=1)
+        packed[i:i + len(adj)] = np.packbits(adj, axis=1, bitorder="little")
+    return packed, degree
+
+
 def _orthogonality_rows(spec: GroupSpec, ranks: np.ndarray, zero: np.ndarray) -> list[int]:
-    """Bitset rows of the orthogonality graph on the vertices ``ranks``.
+    """Bitset rows of the orthogonality graph on the vertices ``ranks``, in index order.
 
     Bit j of row i is set iff rank(g_j - g_i) is in the zero set, given as
-    the boolean array ``zero`` over group ranks.
+    the boolean array ``zero`` over group ranks: the rows ``_clique_search``
+    takes. ``find_spectrum`` hands the kernel ``_kernel_rows`` instead.
     """
+    packed, _ = _packed_graph(spec, ranks, zero)
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _kernel_rows(packed: np.ndarray, order: np.ndarray) -> list[int]:
+    """Rows of a packed graph with vertex ``order[p]`` renamed p, in the kernel's bit order.
+
+    Row p holds vertex q at bit V - 1 - q. The rows are permuted while
+    packed, the columns one block at a time: unpacked, gathered in the
+    reverse of ``order`` and packed again in little bit order. Beyond the
+    packed graph, only one unpacked block is held at a time.
+    """
+    V = len(order)
+    reverse = order[::-1]
     rows: list[int] = []
-    # Every value stays below 2 * MAX_SEARCH_ORDER, which int16 holds.
-    for _, diff in _difference_blocks(spec, ranks, np.int16):
-        packed = np.packbits(zero[diff], axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    block = max(1, _BLOCK_ENTRIES // V)
+    for i in range(0, V, block):
+        adj = np.unpackbits(packed[order[i:i + block]], axis=1, count=V, bitorder="little")
+        relabelled = np.packbits(adj[:, reverse], axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row.tobytes(), "little") for row in relabelled)
     return rows
 
 
@@ -320,36 +356,60 @@ def _clique_search(
     budget: int,
     canonical: bool,
 ) -> tuple[str, list[int] | None, int]:
+    """``_clique_kernel`` on rows in index order: bit j of ``adj[i]`` joins i and j.
+
+    The caller relabels the vertices into the static order first, as
+    ``_clique_kernel`` describes; this only reverses each row's bits into
+    the kernel's order.
+    """
+    V = len(adj)
+    rows = [int(format(a, f"0{V}b")[::-1], 2) for a in adj]
+    return _clique_kernel(rows, start, target, budget, canonical)
+
+
+def _clique_kernel(
+    rows: list[int],
+    start: int,
+    target: int,
+    budget: int,
+    canonical: bool,
+) -> tuple[str, list[int] | None, int]:
     """First clique of size ``target`` containing vertex ``start``, or exhaustion.
 
-    Vertices are bits, and the bit order is the static order: descending
-    degree (ties by index) in default mode, vertex index in canonical mode;
-    ``find_spectrum`` builds the rows already relabelled. Default mode is
-    Tomita-style branch and bound: each node colours its candidates first fit
-    in vertex order (each class takes the lowest uncoloured vertex, then
-    repeatedly the lowest one adjacent to none of its members) and branches
-    from the highest colour down, ascending inside a class, until the colour
-    bound cannot reach the target. Canonical mode branches in ascending
-    vertex order, so the first clique found is the lexicographically least
-    one; the number of colour classes and the count of remaining candidates
-    prune only subtrees that cannot hold a clique of the needed size. Both
-    modes walk the tree depth first on one explicit stack and differ only in
-    the branch masks a node computes.
+    ``rows[v]`` holds vertex w at bit V - 1 - w iff v and w are adjacent, so
+    the lowest vertex of a mask Q is V - Q.bit_length(). Vertex order is the
+    static order: descending degree (ties by index) in default mode, vertex
+    index in canonical mode; ``find_spectrum`` builds the rows already
+    relabelled. Default mode is Tomita-style branch and bound: each node
+    colours its candidates first fit in vertex order (each class takes the
+    lowest uncoloured vertex, then repeatedly the lowest one adjacent to none
+    of its members) and branches from the highest colour down, ascending
+    inside a class, until the colour bound cannot reach the target.
+    Canonical mode branches in ascending vertex order, so the first clique
+    found is the lexicographically least one; the number of colour classes
+    and the count of remaining candidates prune only subtrees that cannot
+    hold a clique of the needed size. Both modes walk the tree depth first
+    on one explicit stack and differ only in the branch masks a node
+    computes.
 
     A node that needs ``need`` more vertices colours only until its fate is
     known: with c classes built and R candidates uncoloured, at most c + |R|
     classes can result, so c + |R| < need prunes it in either mode. Canonical
-    mode builds at most need - 1 classes. Each colouring step is one big-int
-    AND over the vertex count.
+    mode builds at most need - 1 classes. Each vertex coloured costs one
+    big-int AND over twice the vertex count: X = Q << V | R holds the
+    vertices Q that the class may still take and the uncoloured candidates
+    R, and ``take[X.bit_length()]`` removes the lowest vertex of Q and its
+    neighbours from Q, and that vertex alone from R. The class is complete
+    when Q is empty (X <= full); it is then the R it started from XOR X.
     """
-    # Inside the kernel vertex v is bit V - 1 - v, so the lowest vertex of a
-    # mask Q is found by b = Q.bit_length(), as vertex V - b; the tables are
-    # indexed by that bit length.
-    V = len(adj)
+    # The tables are indexed by bit length: vertex V - b is bit b - 1 of a
+    # row, and X.bit_length() is V + b while Q is not empty.
+    V = len(rows)
     full = (1 << V) - 1
-    near = [0] + [int(format(a, f"0{V}b")[::-1], 2) for a in reversed(adj)]
+    near = [0, *reversed(rows)]
     bit = [0] + [1 << i for i in range(V)]
-    apart = [full ^ a ^ b for a, b in zip(near, bit)]  # other non-neighbours
+    take = [0] * (V + 1)
+    take += [((full ^ a ^ m) << V) | (full ^ m) for a, m in zip(near[1:], bit[1:])]
 
     # One frame per open node: the candidates not yet branched on, and the
     # masks of the vertices still to branch on, the last mask first. Branching
@@ -371,11 +431,10 @@ def _clique_search(
             if c + rest.bit_count() < need:
                 rest = 0
                 break
-            Q = rest
-            while Q:
-                b = Q.bit_length()
-                Q &= apart[b]
-                rest ^= bit[b]
+            X = rest << V | rest
+            while X > full:
+                X &= take[X.bit_length()]
+            rest = X
         masks = []
         if canonical:
             if rest:  # a class of colour need exists
@@ -385,13 +444,11 @@ def _clique_search(
                 masks.append(first)
         else:
             while rest:
-                cls, Q = 0, rest
-                while Q:
-                    b = Q.bit_length()
-                    Q &= apart[b]
-                    cls |= bit[b]
-                masks.append(cls)
-                rest ^= cls
+                X = rest << V | rest
+                while X > full:
+                    X &= take[X.bit_length()]
+                masks.append(rest ^ X)
+                rest = X
         frames.append([P, masks])
         while not frames[-1][1]:
             frames.pop()
@@ -444,15 +501,16 @@ def find_spectrum(
     zero = np.zeros(spec.order, dtype=bool)
     zero[zero_diffs] = True
     ranks = np.array([0] + zero_diffs, dtype=np.int64)  # ascending: index order
-    adj = _orthogonality_rows(spec, ranks, zero)
-    if not canonical:
-        # Relabel so that bit order is the static order of the colouring.
-        order = sorted(range(len(adj)), key=lambda v: (-adj[v].bit_count(), v))
-        ranks = ranks[order]
-        adj = _orthogonality_rows(spec, ranks, zero)
-    start = int(np.flatnonzero(ranks == 0)[0])
+    packed, degree = _packed_graph(spec, ranks, zero)
+    # Relabel into the static order of the colouring: descending degree, ties
+    # by index, in default mode. Vertex 0 is adjacent to all the others, so
+    # it stays first in either order.
+    order = np.arange(len(ranks)) if canonical else np.argsort(-degree, kind="stable")
+    rows = _kernel_rows(packed, order)
+    del packed  # the kernel's tables take its place
+    ranks = ranks[order]
 
-    status, clique, nodes = _clique_search(adj, start, k, budget, canonical)
+    status, clique, nodes = _clique_kernel(rows, 0, k, budget, canonical)
     if status != "found":
         return SearchOutcome(status=status, certificate=None, nodes=nodes)
     spectrum = PointSet.from_ranks(spec, ranks[clique])

@@ -243,6 +243,30 @@ def test_negative_budget_is_usage_error(files, capsys, argv):
     assert main([files.get(a, a) for a in argv] + ["--budget", "0"]) != 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check-tiling", "S01", "L02"],
+    ["check-spectral", "S01", "L02"],
+    ["find-spectrum", "S01"],
+    ["find-complement", "S01"],
+    ["diagonal-check", "P_graph"],
+    ["product-diagonal", "S01", "L02"],
+    ["harness", "--group", "6"],
+    ["pipeline", "boxA", "boxB", "--k", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("threads", ["0", "-5"])
+def test_threads_below_one_is_usage_error(files, capsys, argv, threads):
+    # Before, only harness checked it: check-tiling with --threads -5
+    # printed its verdict and exited 0.
+    from spectile.cli import main
+
+    code = main([files.get(a, a) for a in argv] + ["--threads", threads])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --threads must be at least 1, got {threads}\n"
+    assert main([files.get(a, a) for a in argv] + ["--threads", "1"]) != 2
+
+
 def test_zero_harness_budget_is_budget_outcome(capsys):
     # Before, a budget of 0 sampled nothing and passed with checked=0.
     from spectile.cli import main
