@@ -2,17 +2,18 @@
 
 Usage (from the repository root)::
 
-    python3 bench/search_layers.py --seed 23 --out BENCH.json
+    python3 bench/search_layers.py --out BENCH.json
     python3 bench/search_layers.py --src /path/to/other/checkout/src
 
-The inputs are the ``search`` workload of ``perfbench/gen.py`` for the given
-seed, written to a temporary directory and parsed as the CLI parses them.
+The inputs are the ``search`` workload of ``perfbench/gen.py`` for seed 23,
+written to a temporary directory and parsed as the CLI parses them.
 For each ``find-spectrum`` operation of the workload, one call of
 ``find_spectrum`` is split into layers by timing wrappers on the module's
 functions:
 
 - ``zero_set_s``: ``_zero_set_ranks``, the vertices of the graph;
-- ``kernel_s``: the clique kernel, with its node count ``nodes``;
+- ``kernel_s``: the clique kernel ``_clique_kernel``, with its node count
+  ``nodes``;
 - ``verify_s``: re-verification of a found spectrum;
 - ``graph_s``: the rest of the call, which is building the orthogonality
   graph in the kernel's static order;
@@ -20,10 +21,10 @@ functions:
 
 ``small_sets_us`` is the time per ``find_spectrum`` call over a seeded draw of
 random sets of at most 6 points in each of a few small groups, where the
-fixed cost of a call dominates. Every figure is the median of ``--runs``
-runs, after one warm-up run that fills the process-lifetime caches. The
-script imports spectile from ``--src``, so the same script times any
-checkout.
+fixed cost of a call dominates. Every figure is the median of 7 runs,
+after one warm-up run that fills the process-lifetime caches. The script
+imports spectile from ``--src``, so it times any checkout whose
+``find_spectrum`` hands its rows to ``_clique_kernel``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 23  # of the search workload and the small-set draw
+RUNS = 7  # timed runs per figure
 SMALL_GROUPS = ("12", "2x6", "2^3", "64")
 SMALL_SETS = 200  # per group
 SMALL_MAX_POINTS = 6
@@ -62,9 +65,9 @@ class LayerClock:
         setattr(module, attr, timed)
 
 
-def search_inputs(seed: int, gen, setfiles) -> list[tuple[str, object, bool]]:
+def search_inputs(gen, setfiles) -> list[tuple[str, object, bool]]:
     """(label, set, canonical) for each find-spectrum op of the search workload."""
-    wl = gen.make("search", seed)
+    wl = gen.make("search", SEED)
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         wl.write(Path(tmp))
@@ -76,9 +79,9 @@ def search_inputs(seed: int, gen, setfiles) -> list[tuple[str, object, bool]]:
     return out
 
 
-def time_layers(clock: LayerClock, spectral, S, canonical: bool, runs: int) -> dict:
+def time_layers(clock: LayerClock, spectral, S, canonical: bool) -> dict:
     samples: dict[str, list[float]] = {}
-    for run in range(runs + 1):
+    for run in range(RUNS + 1):
         clock.totals.clear()
         t0 = time.perf_counter()
         res = spectral.find_spectrum(S, canonical=canonical)
@@ -96,17 +99,17 @@ def time_layers(clock: LayerClock, spectral, S, canonical: bool, runs: int) -> d
     return out
 
 
-def time_small_sets(spectral, groups, seed: int, runs: int) -> dict:
+def time_small_sets(spectral, groups) -> dict:
     out = {}
     for text in SMALL_GROUPS:
         spec = groups.parse_group_spec(text)
-        rng = random.Random(f"{seed}:{text}")
+        rng = random.Random(f"{SEED}:{text}")
         sets = []
         for _ in range(SMALL_SETS):
             size = rng.randint(1, min(SMALL_MAX_POINTS, spec.order))
             sets.append(groups.PointSet.from_ranks(spec, rng.sample(range(spec.order), size)))
         per_call = []
-        for run in range(runs + 1):
+        for run in range(RUNS + 1):
             t0 = time.perf_counter()
             for S in sets:
                 spectral.find_spectrum(S)
@@ -118,36 +121,29 @@ def time_small_sets(spectral, groups, seed: int, runs: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=23, help="workload seed (default 23)")
-    parser.add_argument("--runs", type=int, default=7, help="timed runs per figure (default 7)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the spectile package (default: this checkout)")
     parser.add_argument("--out", type=Path, default=None, help="also write the figures as JSON")
     args = parser.parse_args(argv)
-    if args.runs < 1:
-        parser.error("--runs must be at least 1")
 
     sys.path.insert(0, str(args.src.resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import gen  # read-only: the benchmark's input generator
     from spectile import groups, setfiles, spectral
 
-    small = time_small_sets(spectral, groups, args.seed, args.runs)  # before any wrapper
+    small = time_small_sets(spectral, groups)  # before any wrapper
     inputs = [(label, S, canonical, len(spectral._zero_set_ranks(S)) + 1)
-              for label, S, canonical in search_inputs(args.seed, gen, setfiles)]
+              for label, S, canonical in search_inputs(gen, setfiles)]
     clock = LayerClock()
     clock.wrap(spectral, "_zero_set_ranks", "zero_set_s")
-    # The clique kernel is ``_clique_kernel`` where find_spectrum hands it
-    # rows in its own bit order, ``_clique_search`` in earlier versions.
-    kernel = "_clique_kernel" if hasattr(spectral, "_clique_kernel") else "_clique_search"
-    clock.wrap(spectral, kernel, "kernel_s")
+    clock.wrap(spectral, "_clique_kernel", "kernel_s")
     clock.wrap(spectral, "verify_spectral_pair", "verify_s")
     search = {}
     for label, S, canonical, vertices in inputs:
-        search[label] = time_layers(clock, spectral, S, canonical, args.runs)
+        search[label] = time_layers(clock, spectral, S, canonical)
         search[label]["vertices"] = vertices
 
-    print(f"find_spectrum layers, seed {args.seed}, median of {args.runs} runs (ms)")
+    print(f"find_spectrum layers, seed {SEED}, median of {RUNS} runs (ms)")
     print(f"{'op':34} {'V':>5} {'nodes':>7} {'zero set':>9} {'graph':>7} "
           f"{'kernel':>8} {'verify':>7} {'total':>8}")
     for label, row in search.items():
@@ -160,8 +156,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         report = {
-            "seed": args.seed,
-            "runs": args.runs,
+            "seed": SEED,
+            "runs": RUNS,
             "python": platform.python_version(),
             "machine": platform.machine(),
             "search": search,
