@@ -99,10 +99,14 @@ def _reduction_table(L: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_matrix(L: int) -> np.ndarray:
-    """The rows of ``_reduction_table(L)`` as the columns of a (phi(r), r - phi(r)) int64 array."""
+def _reduction_matrix(L: int) -> tuple[np.ndarray, int]:
+    """The rows of ``_reduction_table(L)`` as the columns of a (phi(r), r - phi(r)) int64 array.
+
+    Returned with its largest absolute entry, which bounds ``_remainders``.
+    """
     _, deg, rows = _reduction_table(L)
-    return np.array(rows, dtype=np.int64).reshape(-1, deg).T.copy()
+    matrix = np.array(rows, dtype=np.int64).reshape(-1, deg).T.copy()
+    return matrix, int(np.abs(matrix).max()) if matrix.size else 0
 
 
 def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
@@ -124,8 +128,7 @@ def _remainders(L: int, counts: np.ndarray) -> np.ndarray:
     """
     m, deg, _ = _reduction_table(L)
     r = L // m
-    reduce = _reduction_matrix(L)
-    top = int(np.abs(reduce).max()) if reduce.size else 0
+    reduce, top = _reduction_matrix(L)
     peak = max(int(counts.max()), -int(counts.min())) if counts.size else 0
     if L * peak * (1 + (r - deg) * top) >= 2**62:
         counts, reduce = counts.astype(object), reduce.astype(object)

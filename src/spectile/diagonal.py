@@ -65,6 +65,8 @@ from .tiling import (
 DEFAULT_PAIR_OPS = 10**7
 
 DEFAULT_HARNESS_BUDGET = 100_000
+# Cap on the harness kernel's exponent entries per stream, gathered and tabulated.
+MAX_HARNESS_ENTRIES = 10**9
 
 
 @dataclass(frozen=True)
@@ -329,51 +331,70 @@ def _pairing_exponents(base: GroupSpec) -> np.ndarray:
     return coords[_class_representatives(base)] * base._char_weights @ coords.T % base.exponent
 
 
-def _multiset_verdicts(stacked: GroupSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Table route: does rank(a_ij + b_ij) hit every rank of the base, in each row i?
+def _row_counts(cells: np.ndarray, n: int) -> np.ndarray:
+    """counts[i, x]: how often x occurs in row i of ``cells``, whose entries lie in [0, n)."""
+    flat = cells + np.arange(0, cells.size, n)[:, None]
+    return np.bincount(flat.ravel(), minlength=cells.size).reshape(-1, n)
 
-    ``stacked`` is Z_m x G with m at least the number of rows. The count
-    table over it holds the table of row i at rank i |G|, in the first
-    coordinate, which a_ij carries as an offset and b_ij leaves.
+
+def _multiset_verdicts(sums: np.ndarray, n: int, ranks: np.ndarray) -> np.ndarray:
+    """Table route: does sums[r_ij] = rank(a_ij + b_ij) hit every rank of the base, in row i?"""
+    out = np.empty(len(ranks), dtype=bool)
+    rows = max(1, _HISTOGRAM_ENTRIES // n)
+    for i in range(0, len(ranks), rows):
+        out[i : i + rows] = _row_counts(sums[ranks[i : i + rows]], n).all(axis=1)
+    return out
+
+
+def _character_verdicts(chi: np.ndarray, L: int, ranks: np.ndarray) -> np.ndarray:
+    """Character route: does sum_j zeta_L^pair[k, r_ij] vanish at every h_k of ``chi``?
+
+    pair[k, a |G| + b] = <h_k, a> + <h_k, b> mod L is built from ``chi``
+    alone, for a chunk of classes at a time of at most max(|G|^2,
+    ``_BLOCK_ENTRIES``) entries, and a row passes iff it passes in each.
     """
-    rows, n = a.shape
-    table = _count_table(stacked, a + np.arange(0, rows * n, n)[:, None], b)
-    return table[: rows * n].reshape(rows, n).all(axis=1)
-
-
-def _character_verdicts(chi: np.ndarray, L: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Character route: does sum_j zeta_L^(<h, a_ij> + <h, b_ij>) vanish at every h of ``chi``?"""
-    exps = (chi[:, a] + chi[:, b]) % L  # (h, row, point)
-    vanish = _sums_vanish(L, exps.reshape(-1, a.shape[1]))
-    return vanish.reshape(len(chi), len(a)).all(axis=0)
+    classes, n = chi.shape
+    out = np.ones(len(ranks), dtype=bool)
+    step = max(1, _BLOCK_ENTRIES // (n * n))
+    for k in range(0, classes, step):
+        c = chi[k : k + step]
+        rows = max(1, _HISTOGRAM_ENTRIES // (len(c) * n))
+        # Narrow, yet wide enough for 2L and the offsets of _sums_vanish's histograms.
+        c = c.astype(np.min_scalar_type(max(2, len(c) * rows) * L))
+        pair = (c[:, :, None] + c[:, None, :]).reshape(len(c), n * n)
+        pair %= L
+        for i in range(0, len(ranks), rows):
+            exps = pair[:, ranks[i : i + rows]].reshape(-1, n)  # (h, row, point)
+            out[i : i + rows] &= _sums_vanish(L, exps).reshape(len(c), -1).all(axis=0)
+    return out
 
 
 def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(spectral, multiset): both routes to the diagonal criterion, per row of ``ranks``.
 
-    Row i holds the ambient ranks of a candidate P = {(a_ij, b_ij)} in
-    G x G, split into the base ranks a and b. The table route counts
-    rank(a_ij + b_ij) and passes iff no cell is 0, as
-    ``sum_multiset_check`` does. The character route takes the exponents
-    <h, a_ij> + <h, b_ij> at one nonzero h per Galois class, the
-    differences (h, h) of the diagonal that ``verify_spectral_pair(P, D)``
-    tests, and passes iff every histogram vanishes. Neither reads the
-    other's table. For the row of a product A x B, the table route is the
-    tiling test of (A, B) and the character route the spectrality of
-    (A x B, D).
+    Row i holds the ambient ranks r_ij = rank(a_ij) |G| + rank(b_ij) of a
+    candidate P = {(a_ij, b_ij)} in G x G. The table route gathers
+    rank(a_ij + b_ij) from the base's addition table and passes iff no
+    count is 0, as ``sum_multiset_check`` does. The character route gathers
+    <h, a_ij> + <h, b_ij>, at one nonzero h per Galois class (the (h, h)
+    that ``verify_spectral_pair(P, D)`` tests), from a table built from
+    ``_pairing_exponents`` alone, and passes iff every histogram vanishes.
+    Per n-point row: n gathers and n counts, then n gathers and one
+    histogram of L cells per class; per call, tables of |G|^2 entries and
+    of classes x |G|^2. For the row of A x B, the table route is the tiling
+    test of (A, B) and the character route the spectrality of (A x B, D).
     """
     n = base.order
-    chi = _pairing_exponents(base)
-    spectral = np.empty(len(ranks), dtype=bool)
-    multiset = np.empty(len(ranks), dtype=bool)
-    # Blocks of at most _HISTOGRAM_ENTRIES exponents, and as many histogram cells.
-    rows = max(1, _HISTOGRAM_ENTRIES // (max(1, len(chi)) * n))
-    stacked = GroupSpec((rows,) + base.orders)
-    for i in range(0, len(ranks), rows):
-        a, b = np.divmod(ranks[i : i + rows].astype(np.intp), n)
-        multiset[i : i + rows] = _multiset_verdicts(stacked, a, b)
-        spectral[i : i + rows] = _character_verdicts(chi, base.exponent, a, b)
-    return spectral, multiset
+    g = np.arange(n)
+    step = max(1, _BLOCK_ENTRIES // n)  # rows of the addition table, built in narrow blocks
+    sums = np.concatenate([
+        base.add(g[i : i + step, None], g).astype(np.min_scalar_type(n - 1)).ravel()
+        for i in range(0, n, step)
+    ])
+    return (
+        _character_verdicts(_pairing_exponents(base), base.exponent, ranks),
+        _multiset_verdicts(sums, n, ranks),
+    )
 
 
 def _all_subsets(m: int, k: int) -> np.ndarray:
@@ -452,7 +473,7 @@ def run_agreement_harness(
     spec: GroupSpec,
     budget: int = DEFAULT_HARNESS_BUDGET,
     seed: int = 0,
-    pair_budget: int = DEFAULT_PAIR_OPS,
+    pair_budget: int | None = None,
 ) -> HarnessReport:
     """Sweep candidate P sets and (A, B) splits, reporting any disagreement.
 
@@ -461,11 +482,15 @@ def run_agreement_harness(
     blocks: first all candidates, then all splits. A split (A, B) is
     checked as the candidate A x B, whose table route reads as the tiling
     verdict and whose character route as the spectrality of (A x B, D).
-    When the pairwise route of ``check_diagonal_spectral`` would exceed
-    ``pair_budget``, neither stream is drawn or checked, and ``checked`` and
-    ``splits`` still read the sizes of the streams. ``checked`` counts the
-    candidate P sets; splits are reported on their own line and both
-    streams feed ``disagreements``. Both streams run in this process.
+    A stream whose kernel work (``_candidate_verdicts``: rows x classes x
+    |G| exponents gathered, classes x |G|^2 tabulated) exceeds
+    ``MAX_HARNESS_ENTRIES``, or a group whose |G|^2 exceeds the enumeration
+    budget, raises ``BudgetExceededError``. Only a caller that passes
+    ``pair_budget`` gets the old gate: when the pairwise route of
+    ``check_diagonal_spectral`` would exceed it, neither stream is drawn,
+    and ``checked`` and ``splits`` read the sizes of the streams.
+    ``checked`` counts the candidate P sets; both streams feed
+    ``disagreements``.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -473,23 +498,31 @@ def run_agreement_harness(
         raise BudgetExceededError("harness budget 0 checks no candidate and no split")
     n = spec.order
     rng = random.Random(seed)
-    pair = diagonal_subgroup(spec)
-    n2 = pair.ambient.order
+    ambient = product_group(spec, spec)
+    n2 = ambient.order
+    if n2 > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"|GxG| = {n2} exceeds budget {DEFAULT_ENUM_BUDGET}")
     total_p = math.comb(n2, n)
     divs, counts = _split_counts(n)
     total_s = sum(counts)
     p_mode, checked = ("exhaustive", total_p) if total_p <= budget else ("sampled", budget)
     s_mode, splits = ("exhaustive", total_s) if total_s <= budget else ("sampled", budget)
+    work = len(_class_representatives(spec)) * n * (max(checked, splits) + n)
+    if work > MAX_HARNESS_ENTRIES:
+        raise BudgetExceededError(
+            f"harness kernel: {work} exponent entries per stream (rows x Galois classes x |G|"
+            f" + classes x |G|^2) exceed {MAX_HARNESS_ENTRIES}"
+        )
 
     lines = []
-    if _pairwise_cost(spec, n) <= pair_budget:  # else check_diagonal_spectral's shortcut
+    if pair_budget is None or _pairwise_cost(spec, n) <= pair_budget:
         if p_mode == "exhaustive":
             candidates = _all_subsets(n2, n)
         else:
             candidates = _sorted_subsets(rng, budget, n, n2)
         spectral, multiset = _candidate_verdicts(spec, candidates)
         for k in np.flatnonzero(spectral != multiset):
-            P = PointSet.from_ranks(pair.ambient, candidates[k])
+            P = PointSet.from_ranks(ambient, candidates[k])
             lines.append(
                 f"disagree kind=candidate P={format_point_set(P)} "
                 f"spectral={spectral[k]} multiset={multiset[k]}"

@@ -12,7 +12,7 @@ from conftest import (
     iter_product_splits,
     meets_each_antidiagonal_coset_once,
 )
-from spectile import diagonal, tiling
+from spectile import diagonal
 from spectile.cli import main
 from spectile.diagonal import (
     _candidate_verdicts,
@@ -220,19 +220,19 @@ def test_harness_budget_zero_and_negative():
 
 
 def test_split_stream_reads_two_routes(monkeypatch):
-    # A count table that loses one count of its last nonzero cell fails every
-    # table route of the harness. The split stream reads its tiling verdict
-    # from the table and its product-spectral verdict from the characters,
-    # so the last split of the sweep, a tiling, now disagrees.
-    real = tiling._count_table
+    # Row counts that lose one count of their last nonzero cell fail the
+    # last row of each block of the harness's table route. The split stream
+    # reads its tiling verdict from the counts and its product-spectral
+    # verdict from the characters, so the last split of the sweep, a tiling,
+    # now disagrees.
+    real = diagonal._row_counts
 
-    def dropped(spec, x, y):
-        table = real(spec, x, y)
-        table[np.flatnonzero(table)[-1]] -= 1
+    def dropped(cells, n):
+        table = real(cells, n)
+        table.flat[np.flatnonzero(table)[-1]] -= 1
         return table
 
-    monkeypatch.setattr(tiling, "_count_table", dropped)
-    monkeypatch.setattr(diagonal, "_count_table", dropped)
+    monkeypatch.setattr(diagonal, "_row_counts", dropped)
     rep = run_agreement_harness(GroupSpec([4]))
     assert "disagree kind=split A={0,1,2,3} B={3} tiling=False product-spectral=True" in rep.lines
 
@@ -289,8 +289,8 @@ def test_batched_routes_read_separate_tables(monkeypatch):
     spectral, multiset = _candidate_verdicts(base, ranks)
     assert spectral.any() and not spectral.all()
 
-    table = diagonal._count_table
-    monkeypatch.setattr(diagonal, "_count_table", lambda spec, x, y: np.zeros_like(table(spec, x, y)))
+    counts = diagonal._row_counts
+    monkeypatch.setattr(diagonal, "_row_counts", lambda cells, n: np.zeros_like(counts(cells, n)))
     now_spectral, now_multiset = _candidate_verdicts(base, ranks)
     assert (now_spectral == spectral).all() and not now_multiset.any()
     monkeypatch.undo()
