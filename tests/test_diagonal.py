@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +29,7 @@ from spectile.groups import (
     GroupSpec,
     PointSet,
     format_point_set,
+    parse_group_spec,
     product_group,
     product_point_set,
 )
@@ -342,6 +344,46 @@ def test_harness_draws_nothing_above_the_pair_budget(monkeypatch):
     rep = run_agreement_harness(GroupSpec([6]), budget=100, seed=1, pair_budget=0)
     assert (rep.mode, rep.checked, rep.split_mode, rep.splits) == ("sampled", 100, "sampled", 100)
     assert rep.lines == ()
+
+
+@pytest.mark.parametrize("route", ["_multiset_verdicts", "_character_verdicts"])
+def test_flipped_route_is_reported_at_order_512(monkeypatch, route):
+    # From |G| = 272 on, the pairwise route of diagonal-check is over its
+    # budget; the harness still draws and checks both streams there.
+    flip_one_verdict(monkeypatch, route, 5)
+    rep = run_agreement_harness(GroupSpec([512]), budget=20, seed=1)
+    assert (rep.checked, rep.splits, rep.disagreements) == (20, 20, 1)
+    assert rep.lines[0].startswith("disagree kind=candidate P=")
+
+
+def test_harness_over_its_kernel_bound_exits_3_and_draws_nothing(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("drew rows that are never checked")
+
+    monkeypatch.setattr(diagonal, "_sorted_subsets", refuse)
+    monkeypatch.setattr(diagonal, "_sampled_splits", refuse)
+    # 2^8 at the default budget: 255 classes x 256 x (100,000 rows + 256).
+    with pytest.raises(BudgetExceededError, match=f"exceed {diagonal.MAX_HARNESS_ENTRIES}$"):
+        run_agreement_harness(parse_group_spec("2^8"))
+    assert main(["harness", "--group", "2^8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "6544711680 exponent entries per stream" in captured.err
+
+
+def test_harness_pair_table_is_built_in_chunks():
+    # 2^8 has 255 Galois classes: a whole pair table would hold 255 x 65,536
+    # entries, 16.7 MB at one byte each. One chunk holds one class.
+    spec = parse_group_spec("2^8")
+    run_agreement_harness(spec, budget=200, seed=1)  # fills the process-lifetime caches
+    tracemalloc.start()
+    try:
+        rep = run_agreement_harness(spec, budget=200, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.checked, rep.splits, rep.disagreements) == (200, 200, 0)
+    assert peak < 3_000_000
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 3, 2**64])

@@ -327,21 +327,19 @@ def product_splits(spec: GroupSpec, rng, count: int) -> list[tuple[PointSet, Poi
     return out
 
 
-@SETTINGS
-@given(st.data())
-def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
-    spec = data.draw(harness_groups)
+def assert_batched_verdicts(data, groups, max_rows: int, max_splits: int, patch: str, values):
+    """``_candidate_verdicts`` against the per-row checks, patching ``diagonal.<patch>``."""
+    spec = data.draw(groups)
     rng = data.draw(st.randoms(use_true_random=False))
-    candidates = harness_candidates(spec, rng, data.draw(st.integers(1, 40)))
-    splits = product_splits(spec, rng, data.draw(st.integers(0, 10)))
+    candidates = harness_candidates(spec, rng, data.draw(st.integers(1, max_rows)))
+    splits = product_splits(spec, rng, data.draw(st.integers(0, max_splits)))
     n = spec.order
     products = [(A.rank_array[:, None] * n + B.rank_array).ravel() for A, B in splits]
     ranks = np.concatenate([candidates, np.array(products, dtype=np.int64).reshape(-1, n)])
-    # Small blocks make the candidates cross block boundaries.
-    entries = data.draw(st.sampled_from([None, 1, 100]))
+    value = data.draw(st.sampled_from(values))
     with (
-        contextlib.nullcontext() if entries is None
-        else mock.patch.object(diagonal, "_HISTOGRAM_ENTRIES", entries)
+        contextlib.nullcontext() if value is None
+        else mock.patch.object(diagonal, patch, value)
     ):
         spectral_ok, multiset_ok = _candidate_verdicts(spec, ranks)
     pair = diagonal_subgroup(spec)
@@ -351,6 +349,22 @@ def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
     # The table verdict of the row A x B is the tiling verdict of (A, B).
     for (A, B), m in zip(splits, multiset_ok[len(candidates):]):
         assert m == verify_tiling(A, B).ok
+
+
+@SETTINGS
+@given(st.data())
+def test_batched_harness_verdicts_match_check_diagonal_spectral(data):
+    # Small blocks make the candidates cross block boundaries.
+    assert_batched_verdicts(data, harness_groups, 40, 10, "_HISTOGRAM_ENTRIES", [None, 1, 100])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_chunked_pair_tables_match_check_diagonal_spectral(data):
+    # In 2^6 the pair table's 63 classes x 4,096 entries span eight chunks of
+    # 2^15 entries; with _BLOCK_ENTRIES at 1, every group takes one class per chunk.
+    groups = st.sampled_from([GroupSpec([6]), GroupSpec([8]), GroupSpec([2] * 6)])
+    assert_batched_verdicts(data, groups, 6, 4, "_BLOCK_ENTRIES", [None, 1])
 
 
 @SETTINGS
