@@ -100,10 +100,7 @@ def _reduction_table(L: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
 
 @lru_cache(maxsize=None)
 def _reduction_matrix(L: int) -> tuple[np.ndarray, int]:
-    """The rows of ``_reduction_table(L)`` as the columns of a (phi(r), r - phi(r)) int64 array.
-
-    Returned with its largest absolute entry, which bounds ``_remainders``.
-    """
+    """(M, max |M|): M[:, k] is row k of ``_reduction_table(L)``, int64, phi(r) x (r - phi(r))."""
     _, deg, rows = _reduction_table(L)
     matrix = np.array(rows, dtype=np.int64).reshape(-1, deg).T.copy()
     return matrix, int(np.abs(matrix).max()) if matrix.size else 0

@@ -65,7 +65,7 @@ from .tiling import (
 DEFAULT_PAIR_OPS = 10**7
 
 DEFAULT_HARNESS_BUDGET = 100_000
-# Cap on the harness kernel's exponent entries per stream, gathered and tabulated.
+# Cap on the harness's exponent entries per stream, gathered and tabulated.
 MAX_HARNESS_ENTRIES = 10**9
 
 
@@ -291,11 +291,6 @@ def _split_counts(n: int) -> tuple[list[int], list[int]]:
     return divs, [math.comb(n, a) * math.comb(n, n // a) for a in divs]
 
 
-def count_product_splits(spec: GroupSpec) -> int:
-    """Number of (A, B) pairs with |A| * |B| = |G|."""
-    return sum(_split_counts(spec.order)[1])
-
-
 @dataclass(frozen=True)
 class HarnessReport:
     """Outcome of the candidate/split agreement sweep."""
@@ -332,13 +327,18 @@ def _pairing_exponents(base: GroupSpec) -> np.ndarray:
 
 
 def _row_counts(cells: np.ndarray, n: int) -> np.ndarray:
-    """counts[i, x]: how often x occurs in row i of ``cells``, whose entries lie in [0, n)."""
+    """counts[i, x]: how often x < n occurs in row i of ``cells``."""
     flat = cells + np.arange(0, cells.size, n)[:, None]
     return np.bincount(flat.ravel(), minlength=cells.size).reshape(-1, n)
 
 
-def _multiset_verdicts(sums: np.ndarray, n: int, ranks: np.ndarray) -> np.ndarray:
+def _multiset_verdicts(base: GroupSpec, ranks: np.ndarray) -> np.ndarray:
     """Table route: does sums[r_ij] = rank(a_ij + b_ij) hit every rank of the base, in row i?"""
+    n = base.order
+    g = np.arange(n)
+    step = max(1, _BLOCK_ENTRIES // n)  # the addition table, in narrow row blocks
+    sums = np.concatenate([base.add(g[i : i + step, None], g).astype(np.min_scalar_type(n - 1))
+                           for i in range(0, n, step)]).ravel()
     out = np.empty(len(ranks), dtype=bool)
     rows = max(1, _HISTOGRAM_ENTRIES // n)
     for i in range(0, len(ranks), rows):
@@ -346,13 +346,13 @@ def _multiset_verdicts(sums: np.ndarray, n: int, ranks: np.ndarray) -> np.ndarra
     return out
 
 
-def _character_verdicts(chi: np.ndarray, L: int, ranks: np.ndarray) -> np.ndarray:
-    """Character route: does sum_j zeta_L^pair[k, r_ij] vanish at every h_k of ``chi``?
+def _character_verdicts(base: GroupSpec, ranks: np.ndarray) -> np.ndarray:
+    """Character route: does sum_j zeta_L^pair[k, r_ij] vanish at every class k?
 
-    pair[k, a |G| + b] = <h_k, a> + <h_k, b> mod L is built from ``chi``
-    alone, for a chunk of classes at a time of at most max(|G|^2,
-    ``_BLOCK_ENTRIES``) entries, and a row passes iff it passes in each.
+    pair[k, a |G| + b] = <h_k, a> + <h_k, b> mod L, from ``_pairing_exponents``
+    alone, in chunks of classes of at most max(|G|^2, ``_BLOCK_ENTRIES``) entries.
     """
+    chi, L = _pairing_exponents(base), base.exponent
     classes, n = chi.shape
     out = np.ones(len(ranks), dtype=bool)
     step = max(1, _BLOCK_ENTRIES // (n * n))
@@ -372,29 +372,16 @@ def _character_verdicts(chi: np.ndarray, L: int, ranks: np.ndarray) -> np.ndarra
 def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(spectral, multiset): both routes to the diagonal criterion, per row of ``ranks``.
 
-    Row i holds the ambient ranks r_ij = rank(a_ij) |G| + rank(b_ij) of a
-    candidate P = {(a_ij, b_ij)} in G x G. The table route gathers
-    rank(a_ij + b_ij) from the base's addition table and passes iff no
-    count is 0, as ``sum_multiset_check`` does. The character route gathers
-    <h, a_ij> + <h, b_ij>, at one nonzero h per Galois class (the (h, h)
-    that ``verify_spectral_pair(P, D)`` tests), from a table built from
-    ``_pairing_exponents`` alone, and passes iff every histogram vanishes.
-    Per n-point row: n gathers and n counts, then n gathers and one
-    histogram of L cells per class; per call, tables of |G|^2 entries and
-    of classes x |G|^2. For the row of A x B, the table route is the tiling
-    test of (A, B) and the character route the spectrality of (A x B, D).
+    Row i holds the ranks r_ij = rank(a_ij) |G| + rank(b_ij) of a candidate
+    P = {(a_ij, b_ij)} in G x G, and each route gathers from its own table
+    indexed by r: rank(a_ij + b_ij), to pass iff no count is 0 (as
+    ``sum_multiset_check``), or <h, a_ij> + <h, b_ij> at one nonzero h per
+    Galois class, to pass iff every histogram vanishes (as the (h, h) of
+    ``verify_spectral_pair(P, D)``). An n-point row costs n gathers and
+    counts, then per class n gathers and L cells; a call tabulates
+    (1 + classes) |G|^2 entries.
     """
-    n = base.order
-    g = np.arange(n)
-    step = max(1, _BLOCK_ENTRIES // n)  # rows of the addition table, built in narrow blocks
-    sums = np.concatenate([
-        base.add(g[i : i + step, None], g).astype(np.min_scalar_type(n - 1)).ravel()
-        for i in range(0, n, step)
-    ])
-    return (
-        _character_verdicts(_pairing_exponents(base), base.exponent, ranks),
-        _multiset_verdicts(sums, n, ranks),
-    )
+    return _character_verdicts(base, ranks), _multiset_verdicts(base, ranks)
 
 
 def _all_subsets(m: int, k: int) -> np.ndarray:
@@ -482,15 +469,11 @@ def run_agreement_harness(
     blocks: first all candidates, then all splits. A split (A, B) is
     checked as the candidate A x B, whose table route reads as the tiling
     verdict and whose character route as the spectrality of (A x B, D).
-    A stream whose kernel work (``_candidate_verdicts``: rows x classes x
-    |G| exponents gathered, classes x |G|^2 tabulated) exceeds
-    ``MAX_HARNESS_ENTRIES``, or a group whose |G|^2 exceeds the enumeration
-    budget, raises ``BudgetExceededError``. Only a caller that passes
-    ``pair_budget`` gets the old gate: when the pairwise route of
-    ``check_diagonal_spectral`` would exceed it, neither stream is drawn,
-    and ``checked`` and ``splits`` read the sizes of the streams.
-    ``checked`` counts the candidate P sets; both streams feed
-    ``disagreements``.
+    Over ``MAX_HARNESS_ENTRIES`` exponents per stream (rows x classes x |G|
+    gathered, classes x |G|^2 tabulated), or |G|^2 over the enumeration
+    budget, it raises ``BudgetExceededError``. Only a ``pair_budget`` below
+    the cost of ``check_diagonal_spectral``'s pairwise route skips both
+    streams; ``checked`` and ``splits`` then read their sizes.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -507,12 +490,9 @@ def run_agreement_harness(
     total_s = sum(counts)
     p_mode, checked = ("exhaustive", total_p) if total_p <= budget else ("sampled", budget)
     s_mode, splits = ("exhaustive", total_s) if total_s <= budget else ("sampled", budget)
-    work = len(_class_representatives(spec)) * n * (max(checked, splits) + n)
-    if work > MAX_HARNESS_ENTRIES:
-        raise BudgetExceededError(
-            f"harness kernel: {work} exponent entries per stream (rows x Galois classes x |G|"
-            f" + classes x |G|^2) exceed {MAX_HARNESS_ENTRIES}"
-        )
+    cost = len(_class_representatives(spec)) * n * (max(checked, splits) + n)
+    if cost > MAX_HARNESS_ENTRIES:
+        raise BudgetExceededError(f"harness: {cost} exponents per stream > {MAX_HARNESS_ENTRIES}")
 
     lines = []
     if pair_budget is None or _pairwise_cost(spec, n) <= pair_budget:

@@ -122,8 +122,8 @@ class GroupSpec:
         (a - (n - b)) mod n, whose terms int64 holds for every n up to
         ``MAX_ORDER``. A group whose addition table fits in ``_BLOCK_ENTRIES``
         entries builds that table on first use and reads sums from it: the
-        harness's splits and the tests' sweeps add sets of a few points,
-        where each numpy call costs more than the arithmetic.
+        tests' sweeps add sets of a few points, where each numpy call costs
+        more than the arithmetic.
         """
         if self.order * self.order <= _BLOCK_ENTRIES:
             if self._sums is None:

@@ -12,6 +12,7 @@ says nothing about Z^d, and the pipeline labels such evidence accordingly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -221,9 +222,7 @@ def tiling_product_pipeline(
             f"|A|*|B| = {len(A)}*{len(B)} != {base.order} = box volume"
         )
     moduli = tuple(k * n for n in dims) * 2
-    quot_order = 1
-    for m in moduli:
-        quot_order *= m
+    quot_order = math.prod(moduli)
     if quot_order > enum_budget:
         raise BudgetExceededError(
             f"lifted quotient order {quot_order} exceeds budget {enum_budget}"
@@ -246,15 +245,12 @@ def tiling_product_pipeline(
         return skip_rest(["product-diagonal", "lift-identity", "lifted-spectrum"])
 
     ok = pd.agree and pd.spectral_ok
-    steps.append(
-        PipelineStep(
-            "product-diagonal",
-            "pass" if ok else "fail",
-            f"tiling={'yes' if pd.tiling_ok else 'no'} "
-            f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
-            f"agree={'yes' if pd.agree else 'no'}",
-        )
-    )
+    steps.append(PipelineStep(
+        "product-diagonal", "pass" if ok else "fail",
+        f"tiling={'yes' if pd.tiling_ok else 'no'} "
+        f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
+        f"agree={'yes' if pd.agree else 'no'}",
+    ))
     if not ok:
         return skip_rest(["lift-identity", "lifted-spectrum"])
 
@@ -269,13 +265,8 @@ def tiling_product_pipeline(
     spectrum = scaled_diagonal_spectrum(dims, k)
     res = verify_spectral_pair(Cq, spectrum)
     if isinstance(res, SpectrumCertificate):
-        steps.append(
-            PipelineStep(
-                "lifted-spectrum",
-                "pass",
-                f"|set|={len(Cq)} pairs-checked={res.checked_pairs}",
-            )
-        )
+        detail = f"|set|={len(Cq)} pairs-checked={res.checked_pairs}"
+        steps.append(PipelineStep("lifted-spectrum", "pass", detail))
     else:
         steps.append(PipelineStep("lifted-spectrum", "fail", res.detail))
     return PipelineReport(dims=dims, k=k, moduli=moduli, steps=tuple(steps))

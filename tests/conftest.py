@@ -9,6 +9,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from spectile.cyclotomic import CyclotomicSum
+from spectile.diagonal import _split_counts
 from spectile.groups import GroupElement, GroupSpec, PointSet
 from spectile.spectral import char_sum_on_set
 
@@ -74,6 +75,11 @@ def meets_each_antidiagonal_coset_once(P: PointSet, base: GroupSpec) -> bool:
         ) == 1
         for a in base.elements()
     )
+
+
+def count_product_splits(spec: GroupSpec) -> int:
+    """Number of (A, B) pairs with |A| * |B| = |G|, from the harness's count per |A|."""
+    return sum(_split_counts(spec.order)[1])
 
 
 def iter_product_splits(spec: GroupSpec) -> Iterator[tuple[PointSet, PointSet]]:

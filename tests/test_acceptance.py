@@ -13,6 +13,7 @@ from itertools import combinations
 from conftest import (
     are_orthogonal,
     char_sum_of_pair_sums,
+    count_product_splits,
     iter_product_splits,
     meets_each_antidiagonal_coset_once,
     run_cli,
@@ -21,7 +22,6 @@ from test_cyclotomic import _random_sum
 
 from spectile.diagonal import (
     check_diagonal_spectral,
-    count_product_splits,
     diagonal_subgroup,
     product_with_diagonal,
     run_agreement_harness,
