@@ -83,7 +83,11 @@ def _cmd_check_tiling(args) -> tuple[int, list[str], dict]:
     spec = _same_group(A, B)
     budget = args.budget if args.budget is not None else DEFAULT_ENUM_BUDGET
     res = tiling.verify_tiling(A, B, budget=budget)
-    payload = {"command": "check-tiling", "group": spec.spec_string(), "tiling": res.ok}
+    payload = {
+        "command": "check-tiling",
+        "group": spec.spec_string(),
+        "tiling": res.ok,
+    }
     if res.ok:
         lines = [f"ok: tiling group={spec.spec_string()} |A|={len(A)} |B|={len(B)}"]
         return _EXIT_TRUE, lines, payload
@@ -101,7 +105,11 @@ def _cmd_check_spectral(args) -> tuple[int, list[str], dict]:
     lam = _load_points(args.fileL, args.group)
     spec = _same_group(S, lam)
     res = spectral.verify_spectral_pair(S, lam)
-    payload = {"command": "check-spectral", "group": spec.spec_string(), "spectral": res.ok}
+    payload = {
+        "command": "check-spectral",
+        "group": spec.spec_string(),
+        "spectral": res.ok,
+    }
     if res.ok:
         lines = [
             f"ok: spectral pair group={spec.spec_string()} |S|={len(S)} "
@@ -120,8 +128,14 @@ def _cmd_check_spectral(args) -> tuple[int, list[str], dict]:
     return _EXIT_FALSE, lines, payload
 
 
-def _search_outcome(command: str, spec: GroupSpec, res, witness_of, found_word: str,
-                    none_text: str) -> tuple[int, list[str], dict]:
+def _search_outcome(
+    command: str,
+    spec: GroupSpec,
+    res,
+    witness_of,
+    found_word: str,
+    none_text: str,
+) -> tuple[int, list[str], dict]:
     payload = {"command": command, "group": spec.spec_string(), "status": res.status,
                "nodes": res.nodes}
     if res.status == "found":
@@ -142,16 +156,28 @@ def _cmd_find_spectrum(args) -> tuple[int, list[str], dict]:
     S = _load_points(args.fileS, args.group)
     budget = args.budget if args.budget is not None else spectral.DEFAULT_SEARCH_NODES
     res = spectral.find_spectrum(S, budget=budget, canonical=args.canonical)
-    return _search_outcome("find-spectrum", S.group, res, lambda cert: cert.spectrum,
-                           "spectrum", "no spectrum (exhaustive)")
+    return _search_outcome(
+        "find-spectrum",
+        S.group,
+        res,
+        lambda cert: cert.spectrum,
+        "spectrum",
+        "no spectrum (exhaustive)",
+    )
 
 
 def _cmd_find_complement(args) -> tuple[int, list[str], dict]:
     A = _load_points(args.fileA, args.group)
     budget = args.budget if args.budget is not None else spectral.DEFAULT_SEARCH_NODES
     res = tiling.find_complement(A, budget=budget, canonical=args.canonical)
-    return _search_outcome("find-complement", A.group, res, lambda cert: cert.complement,
-                           "complement", "no complement (exhaustive)")
+    return _search_outcome(
+        "find-complement",
+        A.group,
+        res,
+        lambda cert: cert.complement,
+        "complement",
+        "no complement (exhaustive)",
+    )
 
 
 def _cmd_diagonal_check(args) -> tuple[int, list[str], dict]:
@@ -164,9 +190,14 @@ def _cmd_diagonal_check(args) -> tuple[int, list[str], dict]:
             )
     pair_budget = args.budget if args.budget is not None else diag.DEFAULT_PAIR_OPS
     res = diag.check_diagonal_spectral(P, pair_budget=pair_budget)
-    payload = {"command": "diagonal-check", "group": P.group.spec_string(),
-               "spectral": res.spectral, "multiset": res.multiset, "agree": res.agree,
-               "shortcut": res.shortcut}
+    payload = {
+        "command": "diagonal-check",
+        "group": P.group.spec_string(),
+        "spectral": res.spectral,
+        "multiset": res.multiset,
+        "agree": res.agree,
+        "shortcut": res.shortcut,
+    }
     if res.shortcut:
         lines = [
             f"spectral=skipped multiset={_yesno(res.multiset)} agree=unknown "
@@ -193,8 +224,13 @@ def _cmd_product_diagonal(args) -> tuple[int, list[str], dict]:
         f"tiling={_yesno(res.tiling_ok)} product-spectral={_yesno(res.spectral_ok)} "
         f"agree={_yesno(res.agree)}"
     ]
-    payload = {"command": "product-diagonal", "group": spec.spec_string(), "tiling": res.tiling_ok,
-               "product_spectral": res.spectral_ok, "agree": res.agree}
+    payload = {
+        "command": "product-diagonal",
+        "group": spec.spec_string(),
+        "tiling": res.tiling_ok,
+        "product_spectral": res.spectral_ok,
+        "agree": res.agree,
+    }
     if not res.agree:
         return _EXIT_DISAGREE, lines, payload
     return (_EXIT_TRUE if res.tiling_ok else _EXIT_FALSE), lines, payload
@@ -205,10 +241,17 @@ def _cmd_harness(args) -> tuple[int, list[str], dict]:
         raise ValueError("harness requires --group")
     budget = args.budget if args.budget is not None else diag.DEFAULT_HARNESS_BUDGET
     report = diag.run_agreement_harness(args.group, budget=budget, seed=args.seed)
-    payload = {"command": "harness", "group": report.spec.spec_string(), "mode": report.mode,
-               "checked": report.checked, "splits": report.splits,
-               "split_mode": report.split_mode, "disagreements": report.disagreements,
-               "lines": list(report.lines), "seed": report.seed}
+    payload = {
+        "command": "harness",
+        "group": report.spec.spec_string(),
+        "mode": report.mode,
+        "checked": report.checked,
+        "splits": report.splits,
+        "split_mode": report.split_mode,
+        "disagreements": report.disagreements,
+        "lines": list(report.lines),
+        "seed": report.seed,
+    }
     code = _EXIT_TRUE if report.disagreements == 0 else _EXIT_DISAGREE
     return code, report.render().splitlines(), payload
 
@@ -220,11 +263,17 @@ def _cmd_pipeline(args) -> tuple[int, list[str], dict]:
     report = lifting.tiling_product_pipeline(
         A, B, args.k, max_k=args.max_k, enum_budget=budget
     )
-    payload = {"command": "pipeline", "box": "x".join(str(n) for n in report.dims),
-               "k": report.k, "quotient_moduli": list(report.moduli),
-               "steps": [{"name": s.name, "status": s.status, "detail": s.detail}
-                         for s in report.steps],
-               "all_pass": report.all_pass}
+    payload = {
+        "command": "pipeline",
+        "box": "x".join(str(n) for n in report.dims),
+        "k": report.k,
+        "quotient_moduli": list(report.moduli),
+        "steps": [
+            {"name": s.name, "status": s.status, "detail": s.detail}
+            for s in report.steps
+        ],
+        "all_pass": report.all_pass,
+    }
     code = _EXIT_TRUE if report.all_pass else _EXIT_FALSE
     return code, report.render().splitlines(), payload
 

@@ -245,12 +245,15 @@ def tiling_product_pipeline(
         return skip_rest(["product-diagonal", "lift-identity", "lifted-spectrum"])
 
     ok = pd.agree and pd.spectral_ok
-    steps.append(PipelineStep(
-        "product-diagonal", "pass" if ok else "fail",
-        f"tiling={'yes' if pd.tiling_ok else 'no'} "
-        f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
-        f"agree={'yes' if pd.agree else 'no'}",
-    ))
+    steps.append(
+        PipelineStep(
+            "product-diagonal",
+            "pass" if ok else "fail",
+            f"tiling={'yes' if pd.tiling_ok else 'no'} "
+            f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
+            f"agree={'yes' if pd.agree else 'no'}",
+        )
+    )
     if not ok:
         return skip_rest(["lift-identity", "lifted-spectrum"])
 
@@ -265,8 +268,13 @@ def tiling_product_pipeline(
     spectrum = scaled_diagonal_spectrum(dims, k)
     res = verify_spectral_pair(Cq, spectrum)
     if isinstance(res, SpectrumCertificate):
-        detail = f"|set|={len(Cq)} pairs-checked={res.checked_pairs}"
-        steps.append(PipelineStep("lifted-spectrum", "pass", detail))
+        steps.append(
+            PipelineStep(
+                "lifted-spectrum",
+                "pass",
+                f"|set|={len(Cq)} pairs-checked={res.checked_pairs}",
+            )
+        )
     else:
         steps.append(PipelineStep("lifted-spectrum", "fail", res.detail))
     return PipelineReport(dims=dims, k=k, moduli=moduli, steps=tuple(steps))
