@@ -1,4 +1,4 @@
-"""Time the agreement harness in-process: rows per second of each stream's verdict kernel.
+"""Time the agreement harness in-process: rows per second of its verdict kernel.
 
 Usage (from the repository root)::
 
@@ -6,15 +6,16 @@ Usage (from the repository root)::
     python3 bench/harness_throughput.py --src /path/to/other/checkout/src
 
 For each group of ``CASES`` one ``run_agreement_harness`` call is timed
-whole (``total_s``: drawing the rows and checking them), and each of its
-two ``_candidate_verdicts`` calls on its own: the candidate stream first,
-then the split stream. ``rows_per_s`` is a stream's rows over its kernel
-time. ``Z_6`` and ``Z_8`` are the benchmark's ``harness-sweep`` budgets,
-and ``2^8`` the elementary abelian group whose 255 Galois classes give the
+whole (``total_s``: drawing the rows and checking them), and its
+``_candidate_verdicts`` calls together (``kernel_s``): one call for both
+streams, or one per stream in a checkout that hands them over one at a
+time. ``rows_per_s`` is the candidate and split rows over ``kernel_s``.
+``Z_6`` and ``Z_8`` are the benchmark's ``harness-sweep`` budgets, and
+``2^8`` the elementary abelian group whose 255 Galois classes give the
 largest per-row kernel. Every figure is the median of ``RUNS`` runs, after
 one warm-up run that fills the process-lifetime caches. The script imports
-spectile from ``--src``, so it times any checkout whose harness hands each
-stream to ``_candidate_verdicts``.
+spectile from ``--src``, so it times any checkout whose harness checks its
+streams with ``_candidate_verdicts``.
 """
 
 from __future__ import annotations
@@ -31,17 +32,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7  # of the sampled streams
 RUNS = 7  # timed runs per figure
 CASES = (("6", 100_000), ("8", 30_000), ("2^8", 200))  # (group, budget)
-STREAMS = ("candidate", "split")
 
 
 def time_case(diagonal, spec, budget: int) -> dict:
-    kernel: list[tuple[int, float]] = []
+    kernel: list[tuple[list[int], float]] = []
     inner = diagonal._candidate_verdicts
 
-    def timed(base, ranks):
+    def timed(base, *streams):
         t0 = time.perf_counter()
-        result = inner(base, ranks)
-        kernel.append((len(ranks), time.perf_counter() - t0))
+        result = inner(base, *streams)
+        kernel.append(([len(ranks) for ranks in streams], time.perf_counter() - t0))
         return result
 
     diagonal._candidate_verdicts = timed
@@ -55,14 +55,13 @@ def time_case(diagonal, spec, budget: int) -> dict:
             if not run:
                 continue
             samples.setdefault("total_s", []).append(total)
-            for stream, (_, seconds) in zip(STREAMS, kernel):
-                samples.setdefault(f"{stream}_kernel_s", []).append(seconds)
+            samples.setdefault("kernel_s", []).append(sum(seconds for _, seconds in kernel))
     finally:
         diagonal._candidate_verdicts = inner
     out = {name: statistics.median(values) for name, values in samples.items()}
-    for stream, (rows, _) in zip(STREAMS, kernel):
-        out[f"{stream}_rows"] = rows
-        out[f"{stream}_rows_per_s"] = rows / out[f"{stream}_kernel_s"]
+    rows = [n for lengths, _ in kernel for n in lengths]
+    out.update(zip(("candidate_rows", "split_rows"), rows))
+    out["rows_per_s"] = sum(rows) / out["kernel_s"]
     out["disagreements"] = report.disagreements
     return out
 
@@ -82,11 +81,11 @@ def main(argv: list[str] | None = None) -> int:
                for group, budget in CASES}
 
     print(f"harness throughput, seed {SEED}, median of {RUNS} runs")
-    print(f"{'case':12} {'total ms':>9} " + " ".join(
-        f"{s + ' rows':>15} {s + ' rows/s':>17}" for s in STREAMS))
+    print(f"{'case':12} {'total ms':>9} {'kernel ms':>10} {'candidates':>11} {'splits':>8} "
+          f"{'rows/s':>12}")
     for case, row in harness.items():
-        print(f"{case:12} {row['total_s'] * 1e3:9.1f} " + " ".join(
-            f"{row[s + '_rows']:15d} {row[s + '_rows_per_s']:17,.0f}" for s in STREAMS))
+        print(f"{case:12} {row['total_s'] * 1e3:9.1f} {row['kernel_s'] * 1e3:10.1f} "
+              f"{row['candidate_rows']:11d} {row['split_rows']:8d} {row['rows_per_s']:12,.0f}")
 
     if args.out is not None:
         report = {

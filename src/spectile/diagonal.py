@@ -65,8 +65,11 @@ from .tiling import (
 DEFAULT_PAIR_OPS = 10**7
 
 DEFAULT_HARNESS_BUDGET = 100_000
-# Cap on the harness's exponent entries per stream, gathered and tabulated.
-MAX_HARNESS_ENTRIES = 10**9
+# Caps on a harness run, both streams: the steps its time follows (3-8 ns each
+# on a 2-vCPU VM) and the bytes of its rank arrays. Both admit every group
+# below order 272 at the default budget; 2^8 there takes 1.97e10 steps.
+MAX_HARNESS_STEPS = 2 * 10**10
+MAX_HARNESS_BYTES = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -332,21 +335,22 @@ def _row_counts(cells: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=cells.size).reshape(-1, n)
 
 
-def _multiset_verdicts(base: GroupSpec, ranks: np.ndarray) -> np.ndarray:
+def _multiset_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """Table route: does sums[r_ij] = rank(a_ij + b_ij) hit every rank of the base, in row i?"""
     n = base.order
     g = np.arange(n)
     step = max(1, _BLOCK_ENTRIES // n)  # the addition table, in narrow row blocks
     sums = np.concatenate([base.add(g[i : i + step, None], g).astype(np.min_scalar_type(n - 1))
                            for i in range(0, n, step)]).ravel()
-    out = np.empty(len(ranks), dtype=bool)
+    outs = [np.empty(len(ranks), dtype=bool) for ranks in streams]
     rows = max(1, _HISTOGRAM_ENTRIES // n)
-    for i in range(0, len(ranks), rows):
-        out[i : i + rows] = _row_counts(sums[ranks[i : i + rows]], n).all(axis=1)
-    return out
+    for ranks, out in zip(streams, outs):
+        for i in range(0, len(ranks), rows):
+            out[i : i + rows] = _row_counts(sums[ranks[i : i + rows]], n).all(axis=1)
+    return outs
 
 
-def _character_verdicts(base: GroupSpec, ranks: np.ndarray) -> np.ndarray:
+def _character_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> list[np.ndarray]:
     """Character route: does sum_j zeta_L^pair[k, r_ij] vanish at every class k?
 
     pair[k, a |G| + b] = <h_k, a> + <h_k, b> mod L, from ``_pairing_exponents``
@@ -354,7 +358,7 @@ def _character_verdicts(base: GroupSpec, ranks: np.ndarray) -> np.ndarray:
     """
     chi, L = _pairing_exponents(base), base.exponent
     classes, n = chi.shape
-    out = np.ones(len(ranks), dtype=bool)
+    outs = [np.ones(len(ranks), dtype=bool) for ranks in streams]
     step = max(1, _BLOCK_ENTRIES // (n * n))
     for k in range(0, classes, step):
         c = chi[k : k + step]
@@ -363,25 +367,26 @@ def _character_verdicts(base: GroupSpec, ranks: np.ndarray) -> np.ndarray:
         c = c.astype(np.min_scalar_type(max(2, len(c) * rows) * L))
         pair = (c[:, :, None] + c[:, None, :]).reshape(len(c), n * n)
         pair %= L
-        for i in range(0, len(ranks), rows):
-            exps = pair[:, ranks[i : i + rows]].reshape(-1, n)  # (h, row, point)
-            out[i : i + rows] &= _sums_vanish(L, exps).reshape(len(c), -1).all(axis=0)
-    return out
+        for ranks, out in zip(streams, outs):
+            for i in range(0, len(ranks), rows):
+                exps = pair[:, ranks[i : i + rows]].reshape(-1, n)  # (h, row, point)
+                out[i : i + rows] &= _sums_vanish(L, exps).reshape(len(c), -1).all(axis=0)
+    return outs
 
 
-def _candidate_verdicts(base: GroupSpec, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(spectral, multiset): both routes to the diagonal criterion, per row of ``ranks``.
+def _candidate_verdicts(base: GroupSpec, *streams: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """(spectral, multiset) per stream: both routes to the diagonal criterion, per row.
 
-    Row i holds the ranks r_ij = rank(a_ij) |G| + rank(b_ij) of a candidate
-    P = {(a_ij, b_ij)} in G x G, and each route gathers from its own table
-    indexed by r: rank(a_ij + b_ij), to pass iff no count is 0 (as
+    Row i of a stream holds the ranks r_ij = rank(a_ij) |G| + rank(b_ij) of a
+    candidate P = {(a_ij, b_ij)} in G x G, and each route gathers from its own
+    table indexed by r: rank(a_ij + b_ij), to pass iff no count is 0 (as
     ``sum_multiset_check``), or <h, a_ij> + <h, b_ij> at one nonzero h per
     Galois class, to pass iff every histogram vanishes (as the (h, h) of
     ``verify_spectral_pair(P, D)``). An n-point row costs n gathers and
     counts, then per class n gathers and L cells; a call tabulates
-    (1 + classes) |G|^2 entries.
+    (1 + classes) |G|^2 entries once for all its streams.
     """
-    return _character_verdicts(base, ranks), _multiset_verdicts(base, ranks)
+    return list(zip(_character_verdicts(base, streams), _multiset_verdicts(base, streams)))
 
 
 def _all_subsets(m: int, k: int) -> np.ndarray:
@@ -469,11 +474,11 @@ def run_agreement_harness(
     blocks: first all candidates, then all splits. A split (A, B) is
     checked as the candidate A x B, whose table route reads as the tiling
     verdict and whose character route as the spectrality of (A x B, D).
-    Over ``MAX_HARNESS_ENTRIES`` exponents per stream (rows x classes x |G|
-    gathered, classes x |G|^2 tabulated), or |G|^2 over the enumeration
-    budget, it raises ``BudgetExceededError``. Only a ``pair_budget`` below
-    the cost of ``check_diagonal_spectral``'s pairwise route skips both
-    streams; ``checked`` and ``splits`` then read their sizes.
+    Over ``MAX_HARNESS_STEPS`` or ``MAX_HARNESS_BYTES``, or with |G|^2 over
+    the enumeration budget, it raises ``BudgetExceededError`` before drawing.
+    Only a ``pair_budget`` below the cost of ``check_diagonal_spectral``'s
+    pairwise route skips both streams; ``checked`` and ``splits`` then read
+    their sizes.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -490,9 +495,15 @@ def run_agreement_harness(
     total_s = sum(counts)
     p_mode, checked = ("exhaustive", total_p) if total_p <= budget else ("sampled", budget)
     s_mode, splits = ("exhaustive", total_s) if total_s <= budget else ("sampled", budget)
-    cost = len(_class_representatives(spec)) * n * (max(checked, splits) + n)
-    if cost > MAX_HARNESS_ENTRIES:
-        raise BudgetExceededError(f"harness: {cost} exponents per stream > {MAX_HARNESS_ENTRIES}")
+    # Per row, n sums and n exponents per class gathered; per drawn row, Floyd's
+    # n^2 / 2 comparisons; per call, (1 + classes) |G|^2 entries tabulated.
+    classes, rows = len(_class_representatives(spec)), checked + splits
+    drawn = checked * (p_mode == "sampled") + splits * (s_mode == "sampled")
+    steps = (rows + n) * n * (1 + classes) + drawn * n * n // 2
+    held = rows * n * np.min_scalar_type(n2 - 1).itemsize
+    if steps > MAX_HARNESS_STEPS or held > MAX_HARNESS_BYTES:
+        raise BudgetExceededError(f"harness: {steps} steps and {held} bytes of ranks, "
+                                  f"caps {MAX_HARNESS_STEPS} and {MAX_HARNESS_BYTES}")
 
     lines = []
     if pair_budget is None or _pairwise_cost(spec, n) <= pair_budget:
@@ -500,13 +511,6 @@ def run_agreement_harness(
             candidates = _all_subsets(n2, n)
         else:
             candidates = _sorted_subsets(rng, budget, n, n2)
-        spectral, multiset = _candidate_verdicts(spec, candidates)
-        for k in np.flatnonzero(spectral != multiset):
-            P = PointSet.from_ranks(ambient, candidates[k])
-            lines.append(
-                f"disagree kind=candidate P={format_point_set(P)} "
-                f"spectral={spectral[k]} multiset={multiset[k]}"
-            )
         if s_mode == "exhaustive":
             # The rows of A x B for every a-subset A and (n/a)-subset B, B
             # fastest: rank((x, y)) = rank(x) |G| + rank(y), ascending.
@@ -520,13 +524,20 @@ def run_agreement_harness(
             ])
         else:
             products = _sampled_splits(rng, budget, n)
-        spectral, tiling = _candidate_verdicts(spec, products)
-        for k in np.flatnonzero(spectral != tiling):
+        # One call, so each route tabulates once for both streams.
+        (spectral, multiset), (product, tiling) = _candidate_verdicts(spec, candidates, products)
+        for k in np.flatnonzero(spectral != multiset):
+            P = PointSet.from_ranks(ambient, candidates[k])
+            lines.append(
+                f"disagree kind=candidate P={format_point_set(P)} "
+                f"spectral={spectral[k]} multiset={multiset[k]}"
+            )
+        for k in np.flatnonzero(product != tiling):
             A = PointSet.from_ranks(spec, products[k] // n)
             B = PointSet.from_ranks(spec, products[k] % n)
             lines.append(
                 f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
-                f"tiling={tiling[k]} product-spectral={spectral[k]}"
+                f"tiling={tiling[k]} product-spectral={product[k]}"
             )
     return HarnessReport(
         spec=spec,

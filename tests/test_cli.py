@@ -404,7 +404,8 @@ def flipped_route(monkeypatch):
         return dataclasses.replace(report, ok=not report.ok)
 
     monkeypatch.setattr(diagonal, "sum_multiset_check", flipped)
-    monkeypatch.setattr(diagonal, "_multiset_verdicts", lambda *args: ~real_batch(*args))
+    monkeypatch.setattr(diagonal, "_multiset_verdicts",
+                        lambda *args: [~v for v in real_batch(*args)])
     monkeypatch.setattr(diagonal, "_product_spectral", lambda A, B: not real_product(A, B))
 
 

@@ -240,15 +240,12 @@ def test_split_stream_reads_two_routes(monkeypatch):
 
 
 def flip_one_verdict(monkeypatch, route: str, index: int) -> None:
-    """Make the batched route ``route`` flip its verdict on row ``index`` of its first block."""
+    """Make the batched route ``route`` flip its verdict on row ``index`` of its first stream."""
     real = getattr(diagonal, route)
-    first = [True]
 
     def flipped(*args):
         verdicts = real(*args)
-        if first:
-            first.pop()
-            verdicts[index] = not verdicts[index]
+        verdicts[0][index] = not verdicts[0][index]
         return verdicts
 
     monkeypatch.setattr(diagonal, route, flipped)
@@ -288,18 +285,18 @@ def test_batched_routes_read_separate_tables(monkeypatch):
     # Zeroing one route's table fails every candidate on that route alone.
     base = GroupSpec([4])
     ranks = np.array(list(combinations(range(16), 4)))
-    spectral, multiset = _candidate_verdicts(base, ranks)
+    [(spectral, multiset)] = _candidate_verdicts(base, ranks)
     assert spectral.any() and not spectral.all()
 
     counts = diagonal._row_counts
     monkeypatch.setattr(diagonal, "_row_counts", lambda cells, n: np.zeros_like(counts(cells, n)))
-    now_spectral, now_multiset = _candidate_verdicts(base, ranks)
+    [(now_spectral, now_multiset)] = _candidate_verdicts(base, ranks)
     assert (now_spectral == spectral).all() and not now_multiset.any()
     monkeypatch.undo()
 
     chi = diagonal._pairing_exponents
     monkeypatch.setattr(diagonal, "_pairing_exponents", lambda spec: np.zeros_like(chi(spec)))
-    now_spectral, now_multiset = _candidate_verdicts(base, ranks)
+    [(now_spectral, now_multiset)] = _candidate_verdicts(base, ranks)
     assert not now_spectral.any() and (now_multiset == multiset).all()
 
 
@@ -321,12 +318,11 @@ def test_split_agreement_small_groups():
 @pytest.mark.parametrize("orders", [[3], [2, 3], [2, 4]])
 def test_exhaustive_split_rows_are_every_product_in_order(monkeypatch, orders):
     # The budget samples the candidates but covers every split, so the second
-    # batch checked is the exhaustive split stream.
+    # stream checked is the exhaustive split stream.
     batches = []
     real = diagonal._candidate_verdicts
-    monkeypatch.setattr(
-        diagonal, "_candidate_verdicts", lambda base, rows: batches.append(rows) or real(base, rows)
-    )
+    monkeypatch.setattr(diagonal, "_candidate_verdicts",
+                        lambda base, *rows: batches.extend(rows) or real(base, *rows))
     g = GroupSpec(orders)
     rep = run_agreement_harness(g, budget=count_product_splits(g), seed=0)
     assert rep.split_mode == "exhaustive" and len(batches) == 2
@@ -356,19 +352,70 @@ def test_flipped_route_is_reported_at_order_512(monkeypatch, route):
     assert rep.lines[0].startswith("disagree kind=candidate P=")
 
 
-def test_harness_over_its_kernel_bound_exits_3_and_draws_nothing(monkeypatch, capsys):
-    def refuse(*args):
-        raise AssertionError("drew rows that are never checked")
+class Drawn(Exception):
+    """Raised by a patched draw: the harness got past its caps."""
 
-    monkeypatch.setattr(diagonal, "_sorted_subsets", refuse)
-    monkeypatch.setattr(diagonal, "_sampled_splits", refuse)
-    # 2^8 at the default budget: 255 classes x 256 x (100,000 rows + 256).
-    with pytest.raises(BudgetExceededError, match=f"> {diagonal.MAX_HARNESS_ENTRIES}$"):
-        run_agreement_harness(parse_group_spec("2^8"))
-    assert main(["harness", "--group", "2^8"]) == 3
+
+def refuse_draws(monkeypatch) -> None:
+    def refuse(*args):
+        raise Drawn
+
+    for name in ("_all_subsets", "_sorted_subsets", "_sampled_splits"):
+        monkeypatch.setattr(diagonal, name, refuse)
+
+
+def abelian_groups(n: int) -> list[list[int]]:
+    """The cyclic factors of every abelian group of order n, by prime power partitions."""
+    def partitions(k: int, top: int) -> list[list[int]]:
+        return [[]] if k == 0 else [
+            [i] + rest for i in range(min(k, top), 0, -1) for rest in partitions(k - i, i)
+        ]
+
+    out, m, p = [[]], n, 2
+    while m > 1:
+        k = 0
+        while m % p == 0:
+            m, k = m // p, k + 1
+        if k:
+            out = [o + [p**e for e in part] for o in out for part in partitions(k, k)]
+        p += 1
+    return [o or [1] for o in out]
+
+
+def test_harness_caps_admit_every_group_below_order_272_at_the_default_budget(monkeypatch):
+    # Below order 272 the pairwise gate let every default-budget run through;
+    # the caps still do. 2^8 takes the most steps, 2 x 3^3 x 5 the most bytes.
+    refuse_draws(monkeypatch)
+    groups = [orders for n in range(1, 272) for orders in abelian_groups(n)]
+    assert len(groups) == 538
+    for orders in groups:
+        with pytest.raises(Drawn):
+            run_agreement_harness(GroupSpec(orders))
+
+
+@pytest.mark.parametrize(
+    "group, budget, steps, held",
+    [
+        # 2 x 102,000 rows x 256 points x (1 + 255 classes), the draws'
+        # 2 x 102,000 x 256^2 / 2 and the tables' 256 x 256^2: over on steps.
+        ("2^8", 102_000, 20070793216, 104448000),
+        ("2^9", 100_000, 78777417728, 409600000),
+        # Z_8 at 4 x 10^7 sampled candidates and its 3,936 splits: under on
+        # steps, over on 320 MB of one-byte ranks.
+        ("8", 4 * 10**7, 2560126208, 320031488),
+    ],
+)
+def test_harness_over_its_caps_exits_3_and_draws_nothing(monkeypatch, capsys, group, budget,
+                                                         steps, held):
+    refuse_draws(monkeypatch)
+    message = (f"harness: {steps} steps and {held} bytes of ranks, "
+               f"caps {diagonal.MAX_HARNESS_STEPS} and {diagonal.MAX_HARNESS_BYTES}")
+    with pytest.raises(BudgetExceededError, match=f"^{message}$"):
+        run_agreement_harness(parse_group_spec(group), budget=budget)
+    assert main(["harness", "--group", group, "--budget", str(budget)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "6544711680 exponents per stream" in captured.err
+    assert message in captured.err
 
 
 def test_harness_pair_table_is_built_in_chunks():

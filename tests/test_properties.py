@@ -341,7 +341,9 @@ def assert_batched_verdicts(data, groups, max_rows: int, max_splits: int, patch:
         contextlib.nullcontext() if value is None
         else mock.patch.object(diagonal, patch, value)
     ):
-        spectral_ok, multiset_ok = _candidate_verdicts(spec, ranks)
+        # Both streams in one call, as the harness passes them.
+        verdicts = _candidate_verdicts(spec, ranks[: len(candidates)], ranks[len(candidates) :])
+    spectral_ok, multiset_ok = (np.concatenate(v) for v in zip(*verdicts))
     pair = diagonal_subgroup(spec)
     for row, s, m in zip(ranks, spectral_ok, multiset_ok):
         v = check_diagonal_spectral(PointSet.from_ranks(pair.ambient, row.tolist()), pair=pair)
