@@ -108,7 +108,8 @@ def _reduction_matrix(L: int) -> tuple[np.ndarray, int]:
 
 def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
     """Row i: does sum_k counts[i, k] zeta_L^k vanish? ``CyclotomicSum.is_zero``, batched."""
-    return (_remainders(L, counts) == 0).all(axis=(1, 2))
+    # Across rows, on a transposed copy: numpy reduces a row of phi(L) entries slowly.
+    return ~np.ascontiguousarray(_remainders(L, counts).T).any(axis=(0, 1))
 
 
 def _remainders(L: int, counts: np.ndarray) -> np.ndarray:

@@ -70,6 +70,10 @@ DEFAULT_HARNESS_BUDGET = 100_000
 # below order 272 at the default budget; 2^8 there takes 1.97e10 steps.
 MAX_HARNESS_STEPS = 2 * 10**10
 MAX_HARNESS_BYTES = 1 << 28
+# Entries of a block of sampled rows. Floyd's k steps make a few numpy calls
+# per block each, so a large k is call-bound in smaller blocks; the membership
+# test's temporary stays within 128 KB.
+_DRAW_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -163,12 +167,6 @@ class DiagonalCheck:
     spectral_detail: str = ""
 
 
-def _pairwise_cost(base: GroupSpec, points: int) -> int:
-    """Character evaluations of the pairwise route: diagonal pairs times points."""
-    n = base.order
-    return n * (n - 1) // 2 * points
-
-
 def check_diagonal_spectral(
     P: PointSet,
     pair: DiagonalPair | None = None,
@@ -182,7 +180,8 @@ def check_diagonal_spectral(
     """
     base = pair.base if pair is not None else _infer_base(P.group)
     report = sum_multiset_check(P, base)
-    pairwise_cost = _pairwise_cost(base, len(P))
+    # Character evaluations of the pairwise route: diagonal pairs times points.
+    pairwise_cost = base.order * (base.order - 1) // 2 * len(P)
     if pairwise_cost > pair_budget:
         return DiagonalCheck(
             spectral=None,
@@ -330,9 +329,10 @@ def _pairing_exponents(base: GroupSpec) -> np.ndarray:
 
 
 def _row_counts(cells: np.ndarray, n: int) -> np.ndarray:
-    """counts[i, x]: how often x < n occurs in row i of ``cells``."""
-    flat = cells + np.arange(0, cells.size, n)[:, None]
-    return np.bincount(flat.ravel(), minlength=cells.size).reshape(-1, n)
+    """counts[x, i]: how often x < n occurs in row i of ``cells``, x-major to test across rows."""
+    rows = len(cells)
+    flat = cells * np.intp(rows) + np.arange(rows)[:, None]
+    return np.bincount(flat.ravel(), minlength=n * rows).reshape(n, rows)
 
 
 def _multiset_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> list[np.ndarray]:
@@ -346,7 +346,7 @@ def _multiset_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> list
     rows = max(1, _HISTOGRAM_ENTRIES // n)
     for ranks, out in zip(streams, outs):
         for i in range(0, len(ranks), rows):
-            out[i : i + rows] = _row_counts(sums[ranks[i : i + rows]], n).all(axis=1)
+            out[i : i + rows] = _row_counts(sums[ranks[i : i + rows]], n).all(axis=0)
     return outs
 
 
@@ -401,12 +401,12 @@ def _random_below(rng: random.Random, bound: int, size: int) -> np.ndarray:
     """``size`` uniform integers in [0, bound), for a bound of at most 2^64.
 
     Exact, by rejection as in ``random.randrange``: each is the top
-    bit_length(bound - 1) bits of a 32- or 64-bit word from ``rng``, and a
-    value that reaches ``bound`` is dropped for the next word's. No modulo,
-    no floats.
+    bit_length(bound - 1) bits of the narrowest 8-, 16-, 32- or 64-bit word
+    that holds them, from ``rng``, and a value that reaches ``bound`` is
+    dropped for the next word's. No modulo, no floats.
     """
     bits = (bound - 1).bit_length()
-    width = 32 if bits <= 32 else 64
+    width = next(w for w in (8, 16, 32, 64) if bits <= w)
     out = np.zeros(size, dtype=f"u{width // 8}")
     done = 0
     while bits and done < size:
@@ -424,17 +424,20 @@ def _sorted_subsets(rng: random.Random, rows: int, k: int, m: int) -> np.ndarray
 
     Floyd's algorithm (Bentley & Floyd, CACM 30, 1987) run on all rows of
     a block at once: for j = m - k, ..., m - 1 draw t in [0, j], and take t
-    unless the row already holds it, else j. The blocks of at most
-    ``_HISTOGRAM_ENTRIES`` entries are drawn in place in the result.
+    unless the row already holds it, else j. A block of at most
+    ``_DRAW_ENTRIES`` entries is held column by column, so that the test
+    for t reduces across rows, not along a row of at most k entries.
     """
     out = np.empty((rows, k), dtype=np.min_scalar_type(m - 1))
-    step = max(1, _HISTOGRAM_ENTRIES // k)
+    step = max(1, _DRAW_ENTRIES // k)
+    cols = np.empty((k, min(step, rows)), dtype=out.dtype)
     for i in range(0, rows, step):
-        block = out[i : i + step]
+        block = cols[:, : min(step, rows - i)]
         for c, j in enumerate(range(m - k, m)):
-            t = _random_below(rng, j + 1, len(block))
-            block[:, c] = np.where((block[:, :c] == t[:, None]).any(axis=1), j, t)
-        block.sort(axis=1)
+            t = _random_below(rng, j + 1, block.shape[1])
+            block[c] = np.where((block[:c] == t).any(axis=0), j, t)
+        out[i : i + step] = block.T
+    out.sort(axis=1)
     return out
 
 
@@ -465,7 +468,6 @@ def run_agreement_harness(
     spec: GroupSpec,
     budget: int = DEFAULT_HARNESS_BUDGET,
     seed: int = 0,
-    pair_budget: int | None = None,
 ) -> HarnessReport:
     """Sweep candidate P sets and (A, B) splits, reporting any disagreement.
 
@@ -476,9 +478,6 @@ def run_agreement_harness(
     verdict and whose character route as the spectrality of (A x B, D).
     Over ``MAX_HARNESS_STEPS`` or ``MAX_HARNESS_BYTES``, or with |G|^2 over
     the enumeration budget, it raises ``BudgetExceededError`` before drawing.
-    Only a ``pair_budget`` below the cost of ``check_diagonal_spectral``'s
-    pairwise route skips both streams; ``checked`` and ``splits`` then read
-    their sizes.
     """
     if budget < 0:
         raise ValueError(f"budget must be nonnegative, got {budget}")
@@ -505,40 +504,39 @@ def run_agreement_harness(
         raise BudgetExceededError(f"harness: {steps} steps and {held} bytes of ranks, "
                                   f"caps {MAX_HARNESS_STEPS} and {MAX_HARNESS_BYTES}")
 
+    if p_mode == "exhaustive":
+        candidates = _all_subsets(n2, n)
+    else:
+        candidates = _sorted_subsets(rng, budget, n, n2)
+    if s_mode == "exhaustive":
+        # The rows of A x B for every a-subset A and (n/a)-subset B, B
+        # fastest: rank((x, y)) = rank(x) |G| + rank(y), ascending.
+        dtype = np.min_scalar_type(n2 - 1)
+        products = np.concatenate([
+            (
+                _all_subsets(n, a).astype(dtype)[:, None, :, None] * n
+                + _all_subsets(n, n // a)[None, :, None, :]
+            ).reshape(-1, n)
+            for a in divs
+        ])
+    else:
+        products = _sampled_splits(rng, budget, n)
+    # One call, so each route tabulates once for both streams.
+    (spectral, multiset), (product, tiling) = _candidate_verdicts(spec, candidates, products)
     lines = []
-    if pair_budget is None or _pairwise_cost(spec, n) <= pair_budget:
-        if p_mode == "exhaustive":
-            candidates = _all_subsets(n2, n)
-        else:
-            candidates = _sorted_subsets(rng, budget, n, n2)
-        if s_mode == "exhaustive":
-            # The rows of A x B for every a-subset A and (n/a)-subset B, B
-            # fastest: rank((x, y)) = rank(x) |G| + rank(y), ascending.
-            dtype = np.min_scalar_type(n2 - 1)
-            products = np.concatenate([
-                (
-                    _all_subsets(n, a).astype(dtype)[:, None, :, None] * n
-                    + _all_subsets(n, n // a)[None, :, None, :]
-                ).reshape(-1, n)
-                for a in divs
-            ])
-        else:
-            products = _sampled_splits(rng, budget, n)
-        # One call, so each route tabulates once for both streams.
-        (spectral, multiset), (product, tiling) = _candidate_verdicts(spec, candidates, products)
-        for k in np.flatnonzero(spectral != multiset):
-            P = PointSet.from_ranks(ambient, candidates[k])
-            lines.append(
-                f"disagree kind=candidate P={format_point_set(P)} "
-                f"spectral={spectral[k]} multiset={multiset[k]}"
-            )
-        for k in np.flatnonzero(product != tiling):
-            A = PointSet.from_ranks(spec, products[k] // n)
-            B = PointSet.from_ranks(spec, products[k] % n)
-            lines.append(
-                f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
-                f"tiling={tiling[k]} product-spectral={product[k]}"
-            )
+    for k in np.flatnonzero(spectral != multiset):
+        P = PointSet.from_ranks(ambient, candidates[k])
+        lines.append(
+            f"disagree kind=candidate P={format_point_set(P)} "
+            f"spectral={spectral[k]} multiset={multiset[k]}"
+        )
+    for k in np.flatnonzero(product != tiling):
+        A = PointSet.from_ranks(spec, products[k] // n)
+        B = PointSet.from_ranks(spec, products[k] % n)
+        lines.append(
+            f"disagree kind=split A={format_point_set(A)} B={format_point_set(B)} "
+            f"tiling={tiling[k]} product-spectral={product[k]}"
+        )
     return HarnessReport(
         spec=spec,
         mode=p_mode,

@@ -194,6 +194,18 @@ def test_batch_zero_test_matches_the_scalar_and_dense_tests(L, n, rng):
     _assert_batch_matches(L, [_planted_sum(L, rng) for _ in range(n)])
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, 4, 6, 8, 12, 30]), st.integers(0, 2**32))
+def test_batch_zero_test_matches_the_scalar_test_on_tall_batches(L, seed):
+    # The harness tests thousands of rows of a few remainders each, across
+    # rows; a slip in that transposition would mix the remainders of rows.
+    # One seed, not a drawn Random: hypothesis refuses a draw this large.
+    rng = random.Random(seed)
+    rows = [_planted_sum(L, rng) for _ in range(rng.randint(1000, 1500))]
+    got = _batch_is_zero(L, np.array(rows, dtype=np.int64)).tolist()
+    assert got == [CyclotomicSum(L, row).is_zero() for row in rows]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.sampled_from([1155, 2520, 4096]), st.integers(1, 4), st.randoms(use_true_random=False))
 def test_batch_zero_test_matches_at_large_exponents(L, n, rng):

@@ -222,11 +222,11 @@ def test_harness_budget_zero_and_negative():
 
 
 def test_split_stream_reads_two_routes(monkeypatch):
-    # Row counts that lose one count of their last nonzero cell fail the
-    # last row of each block of the harness's table route. The split stream
-    # reads its tiling verdict from the counts and its product-spectral
-    # verdict from the characters, so the last split of the sweep, a tiling,
-    # now disagrees.
+    # Counts (x-major) that lose their last nonzero cell fail, in each block
+    # of the harness's table route, the last row holding the largest x held.
+    # The last split of the sweep is a tiling, so it holds every x and fails.
+    # The split stream reads its tiling verdict from the counts and its
+    # product-spectral verdict from the characters, so that split disagrees.
     real = diagonal._row_counts
 
     def dropped(cells, n):
@@ -269,16 +269,6 @@ def test_flipped_batched_route_names_the_candidate(monkeypatch, capsys, route):
         f"disagree kind=candidate P={format_point_set(P)} spectral={spectral} multiset={multiset}"
     ]
     assert captured.err.startswith("disagreement: ")
-
-
-@pytest.mark.parametrize("route", ["_multiset_verdicts", "_character_verdicts"])
-@pytest.mark.parametrize("pair_budget, lines", [(23, 0), (24, 1)])
-def test_flipped_route_is_not_checked_above_the_pair_budget(monkeypatch, route, pair_budget, lines):
-    # In Z_4 the pairwise route costs 6 pairs times 4 points.
-    flip_one_verdict(monkeypatch, route, 5)
-    rep = run_agreement_harness(GroupSpec([4]), pair_budget=pair_budget)
-    assert rep.checked == 1820
-    assert sum("kind=candidate" in line for line in rep.lines) == lines
 
 
 def test_batched_routes_read_separate_tables(monkeypatch):
@@ -329,17 +319,6 @@ def test_exhaustive_split_rows_are_every_product_in_order(monkeypatch, orders):
     expected = [product_point_set(A, B).rank_array for A, B in iter_product_splits(g)]
     assert batches[1].dtype == np.min_scalar_type(g.order**2 - 1)
     assert np.array_equal(batches[1], expected)
-
-
-def test_harness_draws_nothing_above_the_pair_budget(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("drew rows that are never checked")
-
-    monkeypatch.setattr(diagonal, "_sorted_subsets", refuse)
-    monkeypatch.setattr(diagonal, "_sampled_splits", refuse)
-    rep = run_agreement_harness(GroupSpec([6]), budget=100, seed=1, pair_budget=0)
-    assert (rep.mode, rep.checked, rep.split_mode, rep.splits) == ("sampled", 100, "sampled", 100)
-    assert rep.lines == ()
 
 
 @pytest.mark.parametrize("route", ["_multiset_verdicts", "_character_verdicts"])
@@ -433,10 +412,13 @@ def test_harness_pair_table_is_built_in_chunks():
     assert peak < 3_000_000
 
 
-@pytest.mark.parametrize("bound", [1, 2, 3, 2**31 + 1, 2**32, 2**32 + 1, 2**40 + 3, 2**64])
+@pytest.mark.parametrize("bound", [1, 2, 3, 2**8, 2**8 + 1, 2**16, 2**16 + 1, 2**31 + 1, 2**32,
+                                   2**32 + 1, 2**40 + 3, 2**64])
 def test_random_below_covers_its_range_and_no_more(bound):
     values = diagonal._random_below(random.Random(5), bound, 4000)
     assert len(values) == 4000
+    # drawn from the narrowest 8-, 16-, 32- or 64-bit word that holds bound - 1
+    assert values.dtype == np.min_scalar_type(bound - 1)
     assert (values <= bound - 1).all()
     # the top bits are drawn: values reach the upper half of the range
     assert values.max() >= bound // 2
@@ -447,7 +429,8 @@ def test_random_below_covers_its_range_and_no_more(bound):
     [
         (500, 1, 10),  # one element per row
         (300, 7, 7),  # the whole range
-        (2 * 1365 + 7, 6, 36),  # two full blocks of 1365 rows and a part
+        (2 * 1365 + 7, 6, 36),  # part of one block, or many blocks of 1 row with entries=10
+        (2 * 21845 + 7, 6, 36),  # two full blocks of 21845 rows and a part
         (1000, 5, 2**40 + 3),  # bounds above 2^32
         (200, 3, 2**64),
     ],
@@ -455,7 +438,7 @@ def test_random_below_covers_its_range_and_no_more(bound):
 @pytest.mark.parametrize("entries", [None, 10])
 def test_sorted_subsets_are_increasing_and_in_range(monkeypatch, rows, k, m, entries):
     if entries is not None:
-        monkeypatch.setattr(diagonal, "_HISTOGRAM_ENTRIES", entries)
+        monkeypatch.setattr(diagonal, "_DRAW_ENTRIES", entries)
     out = diagonal._sorted_subsets(random.Random(3), rows, k, m)
     assert out.shape == (rows, k) and out.dtype == np.min_scalar_type(m - 1)
     assert (out[:, 1:] > out[:, :-1]).all()
