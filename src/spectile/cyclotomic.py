@@ -1,20 +1,22 @@
 """Exact arithmetic for integer combinations of roots of unity.
 
-The kernel of every orthogonality check: a sum ``sum_k counts[k] * zeta_L^k``
-vanishes iff the counts polynomial is divisible by the L-th cyclotomic
-polynomial. With r = rad(L) the test runs in degree phi(r): the sum splits
-into L/r slices, each a sum of r-th roots of unity, and vanishes iff every
-slice leaves remainder 0 modulo the monic ``Phi_r``. ``Phi_n`` itself is the
-Moebius product of the binomials ``x^d - 1`` over the divisors d of n.
-Coefficients are Python ints throughout, so nothing can silently wrap.
-``_batch_is_zero`` runs the same test on many sums at once in numpy, in
-int64 only where a bound on the coefficients rules out overflow, on the
-remainders ``_remainders`` returns.
+The kernel of every orthogonality check: does ``sum_k counts[k] zeta_L^k``
+vanish? Write r = rad(L) = p_1 ... p_k and m = L/r. As zeta_L^m = zeta_r
+and [Q(zeta_L):Q(zeta_r)] = m, the sum vanishes iff every slice
+``sum_t counts[j + m t] zeta_r^t`` (j < m) does. Z[zeta_r] is the tensor
+product of the Z[zeta_p], p | r, and up to a Galois automorphism (which
+cannot change whether a sum vanishes) zeta_r^t is the product of the
+zeta_p^(t mod p). So count j + m t goes to grid cell (t mod p_1, ...,
+t mod p_k, j), and as zeta_p^(p-1) = -(1 + ... + zeta_p^(p-2)), each prime
+axis in turn subtracts its last entry from the others and drops it. The sum
+vanishes iff the phi(L) entries left are 0 (de Bruijn 1953; Lam & Leung,
+J. Algebra 2000). The map has entries 0 and +-1; no Phi_n enters it.
 
-One constant bounds the work: a zero test at L costs L + phi(r)(r - phi(r))
-steps (the slices plus the reduction table), and building ``Phi_n`` costs
-about n * 2^k for k distinct prime factors (2^k binomials, each linear in
-the degree). Above ``MAX_KERNEL_COST`` both raise ``BudgetExceededError``.
+``CyclotomicSum.is_zero`` runs the map on Python ints, which cannot wrap,
+and ``_batch_is_zero`` on many sums at once in numpy. One constant bounds
+the work: a zero test at L costs L k steps, and building ``Phi_n``
+(``cyclotomic_poly``, off the zero test's path) about n 2^k. Above
+``MAX_KERNEL_COST`` both raise ``BudgetExceededError``.
 """
 
 from __future__ import annotations
@@ -83,55 +85,48 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_table(L: int) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """(m, phi(r), rows) with r = rad(L), m = L/r, rows[k] = x^(phi(r)+k) mod Phi_r."""
+def _crt_plan(L: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(m, ((p, e_p), ...)): L = m rad(L), and e_p = 1 mod p, 0 mod rad(L)/p for each p | L.
+
+    Checks the zero test's cost, L k steps for k distinct primes, and L
+    alone first, so that a huge exponent is refused before it is factored.
+    """
     _check_cost(f"a zero test at L={L}", L)
     primes = _prime_factors(L)
+    _check_cost(f"a zero test at L={L}: L * {len(primes)} primes", L * len(primes))
     r = math.prod(primes)
-    deg = math.prod(p - 1 for p in primes)
-    _check_cost(f"a zero test at L={L}, r=rad(L)={r}: L + phi(r)(r - phi(r))", L + deg * (r - deg))
-    base = tuple(-c for c in cyclotomic_poly(r)[:deg])  # x^deg mod Phi_r
-    rows = [base] if r > 1 else []
-    while len(rows) < r - deg:  # x * row mod Phi_r
-        row = rows[-1]
-        rows.append(tuple(a + row[-1] * b for a, b in zip((0,) + row[:-1], base)))
-    return L // r, deg, tuple(rows)
+    return L // r, tuple((p, r // p * pow(r // p, -1, p)) for p in primes)
 
 
 @lru_cache(maxsize=None)
-def _reduction_matrix(L: int) -> tuple[np.ndarray, int]:
-    """(M, max |M|): M[:, k] is row k of ``_reduction_table(L)``, int64, phi(r) x (r - phi(r))."""
-    _, deg, rows = _reduction_table(L)
-    matrix = np.array(rows, dtype=np.int64).reshape(-1, deg).T.copy()
-    return matrix, int(np.abs(matrix).max()) if matrix.size else 0
+def _crt_grid(L: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(index, shape): index[c] = j + m t at cell c = (t mod p_1, ..., t mod p_k, j), flattened."""
+    m, steps = _crt_plan(L)
+    t = sum(np.ix_(*(np.arange(p) * e for p, e in steps)))  # t = sum of (t mod p) e_p, mod rad(L)
+    index = np.add.outer(t % (L // m) * m, np.arange(m)).ravel()
+    index.flags.writeable = False
+    return index, tuple(p for p, _ in steps) + (m,)
+
+
+def _crt_coordinates(L: int, counts: np.ndarray) -> np.ndarray:
+    """x[:, i]: the phi(L) coordinates of sum_k counts[i, k] zeta_L^k; 0 iff the sum vanishes.
+
+    ``counts`` is a signed integer array of shape (rows, L), gathered onto
+    the grid with the rows as the last axis, so each axis step runs across
+    rows. A coordinate is a +-1 sum of distinct counts of its row, so it
+    fits the dtype wherever the row's absolute sum does.
+    """
+    index, shape = _crt_grid(L)
+    x = counts.T[index].reshape(shape + (len(counts),))
+    for axis in range(len(shape) - 1):
+        head = (slice(None),) * axis
+        x = x[head + (slice(-1),)] - x[head + (slice(-1, None),)]
+    return x.reshape(math.prod(x.shape[:-1]), -1)
 
 
 def _batch_is_zero(L: int, counts: np.ndarray) -> np.ndarray:
     """Row i: does sum_k counts[i, k] zeta_L^k vanish? ``CyclotomicSum.is_zero``, batched."""
-    # Across rows, on a transposed copy: numpy reduces a row of phi(L) entries slowly.
-    return ~np.ascontiguousarray(_remainders(L, counts).T).any(axis=(0, 1))
-
-
-def _remainders(L: int, counts: np.ndarray) -> np.ndarray:
-    """rem[i, :, j]: slice j of row i of ``counts`` modulo Phi_r; row i vanishes iff all are 0.
-
-    ``counts`` is an integer array of shape (rows, L). Each row splits into
-    the same L/r slices as in the scalar test, and one matrix product with
-    the reduction rows reduces every slice of every row modulo Phi_r, so
-    the remainders are linear in the counts. A remainder coefficient is at
-    most |S| (1 + (r - phi(r)) c) in absolute value, where |S| bounds the
-    absolute sum of a row (L times its largest count) and c the reduction
-    coefficients; below 2^62 the product runs in int64, otherwise on Python
-    ints.
-    """
-    m, deg, _ = _reduction_table(L)
-    r = L // m
-    reduce, top = _reduction_matrix(L)
-    peak = max(int(counts.max()), -int(counts.min())) if counts.size else 0
-    if L * peak * (1 + (r - deg) * top) >= 2**62:
-        counts, reduce = counts.astype(object), reduce.astype(object)
-    slices = counts.reshape(len(counts), r, m)  # slices[i, t, j] = counts[i, j + m t]
-    return slices[:, :deg] + np.matmul(reduce, slices[:, deg:])
+    return ~_crt_coordinates(L, counts).any(axis=0)
 
 
 class CyclotomicSum:
@@ -154,21 +149,23 @@ class CyclotomicSum:
 
     def is_zero(self) -> bool:
         """Exact test: does the sum equal 0 as an algebraic number?"""
-        # With r = rad(L) and m = L/r, zeta_L^m = zeta_r and zeta_L has
-        # minimal polynomial x^m - zeta_r over Q(zeta_r), because
-        # [Q(zeta_L):Q(zeta_r)] = phi(L)/phi(r) = m. So 1, zeta_L, ...,
-        # zeta_L^(m-1) are independent over Q(zeta_r), and the sum
-        # sum_j zeta_L^j * sum_t counts[j + m t] zeta_r^t vanishes iff every
-        # slice counts[j::m] (j < m) reduces to 0 modulo Phi_r.
-        m, deg, rows = _reduction_table(self.order)
-        counts = self.counts
+        # The map slice by slice: part[t] is grid cell (t mod p)_p, and
+        # moving from t mod p = p - 1 to the other residues subtracts e_p.
+        m, steps = _crt_plan(self.order)
+        r, counts = self.order // m, self.counts
         for j in range(m):
             part = counts[j::m]
-            rem = part[:deg]
-            for c, row in zip(part[deg:], rows):
-                if c:
-                    rem = [a + c * b for a, b in zip(rem, row)]
-            if any(rem):
+            if not any(part):
+                continue
+            part = list(part)
+            for p, e in steps:
+                for t in range(p - 1, r, p):
+                    v = part[t]
+                    if v:
+                        part[t] = 0
+                        for s in range(e, p * e, e):
+                            part[(t - s) % r] -= v
+            if any(part):
                 return False
         return True
 

@@ -33,7 +33,7 @@ from itertools import accumulate, chain, combinations
 
 import numpy as np
 
-from .cyclotomic import _reduction_table, _remainders
+from .cyclotomic import _crt_coordinates, _crt_plan
 from .groups import (
     _BLOCK_ENTRIES,
     DEFAULT_ENUM_BUDGET,
@@ -230,7 +230,7 @@ def _product_spectral(A: PointSet, B: PointSet) -> bool:
     iff a factor does. So, with |A| |B| = |G|, (A x B, D) is spectral iff
     Z(1_A) and Z(1_B) together cover every nonzero element of G. Zero sets
     are unions of Galois classes (``_zero_set_ranks``), so one h per class
-    decides. In a group whose table of remainders (classes x |G| x phi(L))
+    decides. In a group whose table of zero-test coordinates (classes x |G| x phi(L))
     fits ``_BLOCK_ENTRIES``, each set reads it, cached per group, since the
     tests check millions of splits of groups up to order 12. Otherwise
     the smaller set is tested at every class, in blocks, and the larger
@@ -238,8 +238,8 @@ def _product_spectral(A: PointSet, B: PointSet) -> bool:
     """
     spec = A.group
     reps = _class_representatives(spec)
-    m, deg, _ = _reduction_table(spec.exponent)
-    if len(reps) * spec.order * m * deg <= _BLOCK_ENTRIES:
+    m, steps = _crt_plan(spec.exponent)
+    if len(reps) * spec.order * m * math.prod(p - 1 for p, _ in steps) <= _BLOCK_ENTRIES:
         table = _reduced_characters(spec)
         nonzero = [table[:, S.rank_array].sum(axis=1).any(axis=1) for S in (A, B)]
         return not (nonzero[0] & nonzero[1]).any()
@@ -250,14 +250,14 @@ def _product_spectral(A: PointSet, B: PointSet) -> bool:
 
 @lru_cache(maxsize=8)
 def _reduced_characters(base: GroupSpec) -> np.ndarray:
-    """table[k, x]: the zero test's remainders of zeta_L^<h_k, g_x>, one h_k per Galois class.
+    """table[k, x]: the zero test's coordinates of zeta_L^<h_k, g_x>, one h_k per Galois class.
 
-    The remainders are linear in the counts of a sum, and vanish iff the
+    The coordinates are linear in the counts of a sum, and vanish iff the
     sum does, so the sum of 1_S at h_k vanishes iff table[k, S] sums to 0:
     per set, one lookup in place of a histogram and a zero test.
     """
     L = base.exponent
-    unit = _remainders(L, np.eye(L, dtype=np.int64)).reshape(L, -1)
+    unit = _crt_coordinates(L, np.eye(L, dtype=np.int64)).T
     table = unit[_pairing_exponents(base)]
     table.flags.writeable = False
     return table

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from .cyclotomic import CyclotomicSum, _batch_is_zero, _reduction_table
+from .cyclotomic import CyclotomicSum, _batch_is_zero, _crt_plan
 from .groups import _BLOCK_ENTRIES, DEFAULT_ENUM_BUDGET, GroupElement, GroupSpec, PointSet
 
 if TYPE_CHECKING:
@@ -44,6 +44,7 @@ def char_sum_on_set(S: PointSet, h: GroupElement) -> CyclotomicSum:
         raise ValueError("character and set live in different groups")
     spec = S.group
     L = spec.exponent
+    _crt_plan(L)  # the zero test's cost bound, before the length-L histogram
     wh = tuple(w * c % L for w, c in zip(spec._char_weights, h.coords))
     counts = [0] * L
     for p in S.points:
@@ -75,7 +76,7 @@ def _vanishing_at(S: PointSet, ranks: np.ndarray) -> np.ndarray:
     """
     spec = S.group
     L = spec.exponent
-    _reduction_table(L)  # the zero test's cost bound, before any histogram
+    _crt_plan(L)  # the zero test's cost bound, before any histogram
     dtype = np.int32 if len(spec.orders) * L * L < 2**31 else np.int64
     points = spec.decode(S.rank_array).T.astype(dtype)
     weights = np.array(spec._char_weights)

@@ -464,14 +464,28 @@ def _two_point_case(tmp_path, L: int) -> list[str]:
     return ["check-spectral", str(S), str(spectrum)]
 
 
-def test_zero_test_cost_bound_refuses_z30030(tmp_path, capsys):
+def test_zero_test_cost_bound_accepts_z30030_and_refuses_z20000003(tmp_path, capsys):
     from spectile.cyclotomic import MAX_KERNEL_COST
 
-    code = run_cli_code(_two_point_case(tmp_path, 30030))
+    code, out = run_cli(_two_point_case(tmp_path, 30030), capsys)
+    assert code == 0
+    assert out == "ok: spectral pair group=30030 |S|=2 pairs=1\n"
+    # beyond the bound on L alone: refused before any length-L histogram
+    code = run_cli_code(_two_point_case(tmp_path, 20000003))
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert str(MAX_KERNEL_COST) in captured.err
+
+
+def test_product_diagonal_tiling_pair_in_z30030(tmp_path, capsys):
+    A = tmp_path / "A.set"
+    A.write_text("group 30030\n0\n15015\n", encoding="utf-8")
+    B = tmp_path / "B.set"
+    B.write_text("group 30030\n" + "".join(f"{x}\n" for x in range(15015)), encoding="utf-8")
+    code, out = run_cli(["product-diagonal", str(A), str(B)], capsys)
+    assert code == 0
+    assert out == "tiling=yes product-spectral=yes agree=yes\n"
 
 
 def test_zero_test_cost_bound_accepts_z13860(tmp_path, capsys):

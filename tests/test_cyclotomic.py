@@ -9,15 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_cyclotomic import dense_is_zero, sympy_cyclotomic
 
+from spectile import cyclotomic
 from spectile.cyclotomic import (
     MAX_KERNEL_COST,
     CyclotomicSum,
     _batch_is_zero,
-    _reduction_matrix,
-    _reduction_table,
+    _crt_coordinates,
+    _crt_plan,
     cyclotomic_poly,
 )
-from spectile.groups import BudgetExceededError
+from spectile.groups import BudgetExceededError, GroupSpec, PointSet
 
 
 def test_phi_1():
@@ -213,31 +214,38 @@ def test_batch_zero_test_matches_at_large_exponents(L, n, rng):
     _assert_batch_matches(L, [_planted_sum(L, rng) for _ in range(n)])
 
 
-def test_batch_zero_test_uses_python_ints_where_int64_would_wrap():
+def test_scalar_zero_test_is_exact_where_int64_would_wrap():
     L = 15
-    # 2^62 times v: v reduces modulo Phi_15 to 4 times a nonzero remainder,
-    # so in int64 every remainder coefficient wraps to 0.
+    # 2^62 times v: v is not 0 in Q(zeta_15), but each of its coordinates
+    # is a multiple of 4, so in int64 those of 2^62 v would wrap to 0.
     v = (-1, -2, -2, 1, -1, 1, -2, 0, -1, -1, -1, 0, 0, 1, 1)
-    wraps = tuple(c << 62 for c in v)
-    m, deg, _ = _reduction_table(L)
-    slices = np.array(wraps, dtype=np.int64).reshape(L // m, m)
-    assert not (slices[:deg] + _reduction_matrix(L)[0] @ slices[deg:]).any()
+    coords = _crt_coordinates(L, np.array([v], dtype=np.int64))
+    assert coords.any() and not (coords % 4).any()
     near = 2**61 - 1
     rows = [
-        wraps,
+        tuple(c << 62 for c in v),
         (near,) * L,  # near times the full geometric sum: zero
         (near - 1,) + (near,) * (L - 1),
         tuple(near * c for c in v),
+        tuple(c << 70 for c in v),
+        (2**70,) * L,
     ]
-    assert _batch_is_zero(L, np.array(rows, dtype=np.int64)).tolist() == [False, True, False, False]
-    _assert_batch_matches(L, rows)
+    got = [CyclotomicSum(L, row).is_zero() for row in rows]
+    assert got == [False, True, False, False, False, True]
+    assert got == [dense_is_zero(row) for row in rows]
 
 
 def test_zero_test_runs_at_the_radical():
-    m, deg, rows = _reduction_table(5040)  # rad = 210, phi(210) = 48
-    assert (m, deg, len(rows), len(rows[0])) == (24, 48, 210 - 48, 48)
-    # x^2048 = -1 in Q(zeta_4096): the test is c_k == c_(k + 2048)
-    assert _reduction_table(4096) == (2048, 1, ((-1,),))
+    m, steps = _crt_plan(5040)  # rad = 210 = 2 * 3 * 5 * 7, phi(5040) = 24 * 48
+    assert (m, [p for p, _ in steps]) == (24, [2, 3, 5, 7])
+    for p, e in steps:  # e_p = 1 mod p, 0 mod 210 / p
+        assert [e % q for q in (2, 3, 5, 7)] == [int(q == p) for q in (2, 3, 5, 7)]
+    counts = np.zeros((1, 5040), dtype=np.int64)
+    assert _crt_coordinates(5040, counts).shape == (1152, 1)
+    # x^2048 = -1 in Q(zeta_4096): the coordinates are c_k - c_(k + 2048)
+    assert _crt_plan(4096) == (2048, ((2, 1),))
+    rows = np.random.default_rng(1).integers(-9, 10, size=(3, 4096))
+    assert (_crt_coordinates(4096, rows) == (rows[:, :2048] - rows[:, 2048:]).T).all()
     counts = [0] * 4096
     counts[5] = counts[5 + 2048] = 7
     assert CyclotomicSum(4096, counts).is_zero()
@@ -246,15 +254,85 @@ def test_zero_test_runs_at_the_radical():
 
 
 def test_cost_bound_refuses_large_radicals():
-    # rad(30030) = 30030: 30030 + 5760 * 24270 > 10^7
-    with pytest.raises(BudgetExceededError, match=str(MAX_KERNEL_COST)):
-        _from_exponents(30030, [0, 15015]).is_zero()
-    # rad(13860) = 2310: 13860 + 480 * 1830 is within the bound
+    # rad(30030) = 30030, six primes: 30030 * 6 steps is within the bound
+    assert _from_exponents(30030, [0, 15015]).is_zero()
     assert _from_exponents(13860, [0, 6930]).is_zero()
+    # 9699690 = 2 * 3 * ... * 19 is within 10^7 alone, not at 8 steps a count
+    with pytest.raises(BudgetExceededError, match=str(MAX_KERNEL_COST)):
+        _crt_plan(9699690)
+    with pytest.raises(BudgetExceededError, match=str(MAX_KERNEL_COST)):
+        _batch_is_zero(20000003, np.zeros((0, 20000003), dtype=np.int8))
     with pytest.raises(BudgetExceededError):
         cyclotomic_poly(MAX_KERNEL_COST + 1)
     with pytest.raises(BudgetExceededError):  # refused before factoring
-        _reduction_table(2**61 - 1)
+        _crt_plan(2**61 - 1)
+
+
+def test_refusal_builds_no_length_l_array():
+    import tracemalloc
+
+    from spectile.spectral import verify_spectral_pair
+
+    for L in (20000003, 2**61 - 1):
+        spec = GroupSpec([L])
+        S = PointSet.from_coords(spec, [(0,), (1,)])
+        spectrum = PointSet.from_coords(spec, [(0,), (L // 2,)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=str(MAX_KERNEL_COST)):
+                verify_spectral_pair(S, spectrum)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _planted_rows(L: int, n: int, rng: random.Random) -> list[list[int]]:
+    # Vanishing layers, and in half the rows one root on top: every sum is
+    # 0 or has absolute value at least 1, so a float test can tell them apart.
+    rows = []
+    for i in range(n):
+        counts = [0] * L
+        for _ in range(rng.randint(1, 3)):
+            _add_vanishing_layer(counts, L, rng)
+        if i % 2:
+            counts[rng.randrange(L)] += rng.choice((-1, 1))
+        rows.append(counts)
+    return rows
+
+
+@pytest.mark.parametrize("L", [30030, 510510])
+def test_batch_zero_test_at_exponents_beyond_the_sympy_oracle(L):
+    rows = _planted_rows(L, 4, random.Random(L))
+    got = _batch_is_zero(L, np.array(rows, dtype=np.int64)).tolist()
+    assert got == [True, False] * 2
+    sums = [CyclotomicSum(L, row) for row in rows]
+    assert got == [s.is_zero() for s in sums]
+    assert got == [abs(s.approx_complex()) < 1e-6 for s in sums]
+
+
+def test_batch_zero_test_takes_zero_rows():
+    for L in (1, 6, 30030):
+        assert _batch_is_zero(L, np.zeros((0, L), dtype=np.int64)).shape == (0,)
+
+
+def test_no_verdict_builds_a_cyclotomic_polynomial(monkeypatch):
+    from spectile import diagonal
+    from spectile.spectral import find_spectrum
+
+    def refuse(n):
+        raise AssertionError(f"Phi_{n} built on a verdict path")
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_poly", refuse)
+    for cached in (cyclotomic._crt_plan, cyclotomic._crt_grid, diagonal._reduced_characters):
+        cached.cache_clear()
+    assert _from_exponents(2520, [0, 1260]).is_zero()
+    assert _batch_is_zero(30, np.array([[1] * 30, [1] + [0] * 29])).tolist() == [True, False]
+    spec = GroupSpec([12])
+    A = PointSet.from_coords(spec, [(0,), (6,)])
+    B = PointSet.from_coords(spec, [(x,) for x in range(6)])
+    assert diagonal.product_with_diagonal(A, B).agree
+    assert find_spectrum(B).status == "found"
 
 
 def test_counts_length_enforced():

@@ -68,6 +68,8 @@ CASES: dict[str, list[str]] = {
     # on points of ranks up to 2^25 - 1
     "check-spectral-2pow25-ok": ["check-spectral", "2pow25_S2.set", "2pow25_L2.set"],
     "check-spectral-2pow25-pair": ["check-spectral", "2pow25_S2.set", "2pow25_L2_bad.set"],
+    # rad(30030) = 30030 = 2 3 5 7 11 13: the zero test at six primes, L k steps
+    "check-spectral-z30030-ok": ["check-spectral", "z30030_S2.set", "z30030_L2.set"],
     # the 4x4 box lifted at k=2, read in 8^4, against its scaled diagonal
     # spectrum (256 points, 32,640 pairs), and with one spectrum point moved
     "check-spectral-lift4x4-ok": [
