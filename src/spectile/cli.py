@@ -281,6 +281,47 @@ def _cmd_pipeline(args) -> tuple[int, list[str], dict]:
 # ---------------------------------------------------------------------------
 
 
+_COMMANDS = {  # name -> (file arguments, help text, handler)
+    "check-tiling": ("fileA fileB", "verify that A tiles the group with B", _cmd_check_tiling),
+    "check-spectral": ("fileS fileL", "verify a (set, spectrum) pair", _cmd_check_spectral),
+    "find-spectrum": ("fileS", "search for a spectrum of S", _cmd_find_spectrum),
+    "find-complement": ("fileA", "search for a tiling complement of A", _cmd_find_complement),
+    "diagonal-check": ("fileP", "check P in GxG against the diagonal spectrum, both routes",
+                       _cmd_diagonal_check),
+    "product-diagonal": ("fileA fileB", "compare tiling of (A,B) with diagonal spectrality of AxB",
+                         _cmd_product_diagonal),
+    "harness": ("", "agreement sweep over candidates and splits", _cmd_harness),
+    "pipeline": ("fileA fileB", "tiling -> lifted spectrum chain on box sets", _cmd_pipeline),
+}
+
+
+def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add the arguments of command ``name`` to ``p``, and return it."""
+    files, _, handler = _COMMANDS[name]
+    for f in files.split():
+        p.add_argument(f)
+    if name == "pipeline":
+        p.add_argument("--k", type=setfiles.ascii_int, required=True, help="lift factor")
+        p.add_argument("--max-k", type=setfiles.ascii_int, default=lifting.DEFAULT_MAX_LIFT,
+                       help="cap on the lift factor (default 4)")
+        p.add_argument("--box", type=parse_group_spec, default=None,
+                       help="base box dims, e.g. 24^3 (must match file headers)")
+    else:
+        p.add_argument("--group", type=parse_group_spec, default=None,
+                       help="group spec, e.g. 24^3 (must match file headers)")
+    p.add_argument("--budget", type=setfiles.ascii_int, default=None,
+                   help="work budget (meaning depends on the command)")
+    p.add_argument("--seed", type=setfiles.ascii_int, default=0,
+                   help="seed for any randomized sampling (default 0)")
+    p.add_argument("--threads", type=setfiles.ascii_int, default=1,
+                   help="must be at least 1; selects nothing (default 1)")
+    p.add_argument("--canonical", action="store_true",
+                   help="force the lexicographically least search witness")
+    p.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")
+    p.set_defaults(handler=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectile",
@@ -290,60 +331,21 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, box: bool = False) -> None:
-        if box:
-            p.add_argument("--box", type=parse_group_spec, default=None,
-                           help="base box dims, e.g. 24^3 (must match file headers)")
-        else:
-            p.add_argument("--group", type=parse_group_spec, default=None,
-                           help="group spec, e.g. 24^3 (must match file headers)")
-        p.add_argument("--budget", type=setfiles.ascii_int, default=None,
-                       help="work budget (meaning depends on the command)")
-        p.add_argument("--seed", type=setfiles.ascii_int, default=0,
-                       help="seed for any randomized sampling (default 0)")
-        p.add_argument("--threads", type=setfiles.ascii_int, default=1,
-                       help="must be at least 1; selects nothing (default 1)")
-        p.add_argument("--canonical", action="store_true",
-                       help="force the lexicographically least search witness")
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable JSON report")
-
-    for name, files, text, handler in (
-        ("check-tiling", ("fileA", "fileB"), "verify that A tiles the group with B",
-         _cmd_check_tiling),
-        ("check-spectral", ("fileS", "fileL"), "verify a (set, spectrum) pair",
-         _cmd_check_spectral),
-        ("find-spectrum", ("fileS",), "search for a spectrum of S", _cmd_find_spectrum),
-        ("find-complement", ("fileA",), "search for a tiling complement of A",
-         _cmd_find_complement),
-        ("diagonal-check", ("fileP",),
-         "check P in GxG against the diagonal spectrum, both routes", _cmd_diagonal_check),
-        ("product-diagonal", ("fileA", "fileB"),
-         "compare tiling of (A,B) with diagonal spectrality of AxB", _cmd_product_diagonal),
-        ("harness", (), "agreement sweep over candidates and splits", _cmd_harness),
-    ):
-        p = sub.add_parser(name, help=text)
-        for f in files:
-            p.add_argument(f)
-        common(p)
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("pipeline", help="tiling -> lifted spectrum chain on box sets")
-    p.add_argument("fileA")
-    p.add_argument("fileB")
-    p.add_argument("--k", type=setfiles.ascii_int, required=True, help="lift factor")
-    p.add_argument("--max-k", type=setfiles.ascii_int, default=lifting.DEFAULT_MAX_LIFT,
-                   help="cap on the lift factor (default 4)")
-    common(p, box=True)
-    p.set_defaults(handler=_cmd_pipeline)
-
+    for name, (_, text, _) in _COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # A named command needs only its own parser. Arguments it leaves unread
+    # are an error that the full parser reports, so they are parsed there again.
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = _command_parser(argparse.ArgumentParser(prog=f"spectile {name}"), name)
+        args, extra = parser.parse_known_args(argv[1:])
+    if name not in _COMMANDS or extra:
+        args = build_parser().parse_args(argv)
     if args.budget is not None and args.budget < 0:
         print(f"error: --budget must be nonnegative, got {args.budget}", file=sys.stderr)
         return _EXIT_USAGE

@@ -346,7 +346,7 @@ def _multiset_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> list
     rows = max(1, _HISTOGRAM_ENTRIES // n)
     for ranks, out in zip(streams, outs):
         for i in range(0, len(ranks), rows):
-            out[i : i + rows] = _row_counts(sums[ranks[i : i + rows]], n).all(axis=0)
+            out[i : i + rows] = _row_counts(sums.take(ranks[i : i + rows]), n).all(axis=0)
     return outs
 
 
@@ -369,7 +369,7 @@ def _character_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> lis
         pair %= L
         for ranks, out in zip(streams, outs):
             for i in range(0, len(ranks), rows):
-                exps = pair[:, ranks[i : i + rows]].reshape(-1, n)  # (h, row, point)
+                exps = np.take(pair, ranks[i : i + rows], axis=1).reshape(-1, n)  # (h, row, point)
                 out[i : i + rows] &= _sums_vanish(L, exps).reshape(len(c), -1).all(axis=0)
     return outs
 

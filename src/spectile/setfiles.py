@@ -16,9 +16,11 @@ canonical file byte for byte.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from itertools import compress, cycle
 
-from .groups import GroupElement, GroupSpec, PointSet, parse_group_spec
+import numpy as np
+
+from .groups import GroupSpec, PointSet, parse_group_spec
 from .lifting import BoxedSet
 
 
@@ -38,76 +40,72 @@ class SetFileError(ValueError):
     """Malformed set file."""
 
 
-@dataclass(frozen=True)
-class ParsedSetFile:
-    kind: str  # "group" or "box"
-    spec: GroupSpec
-    rows: tuple[tuple[int, ...], ...]
+def _read(text: str) -> tuple[str, GroupSpec, list[int]]:
+    """The header's kind and spec, and the coordinates of every row, in one flat list.
 
-
-def parse_set_file(text: str) -> ParsedSetFile:
-    header: tuple[str, GroupSpec] | None = None
-    rows: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            parts = line.split(None, 1)
-            if len(parts) != 2 or parts[0] not in ("group", "box"):
-                raise SetFileError(
-                    f"line {lineno}: expected 'group <spec>' or 'box <spec>' header"
-                )
-            try:
-                spec = parse_group_spec(parts[1])
-            except ValueError as exc:
-                raise SetFileError(f"line {lineno}: {exc}") from exc
-            header = (parts[0], spec)
-            continue
-        toks = [tok.strip() for tok in line.split(",")]
-        if not all(_INT_RE.fullmatch(tok) for tok in toks):
-            raise SetFileError(
-                f"line {lineno}: expected comma-separated integers, got {line!r}"
-            )
-        coords = tuple(int(tok) for tok in toks)
-        if len(coords) != len(header[1].orders):
-            raise SetFileError(
-                f"line {lineno}: expected {len(header[1].orders)} coordinates, "
-                f"got {len(coords)}"
-            )
-        rows.append(coords)
-    if header is None:
+    With d factors in the header, a row is d comma-separated ASCII integers,
+    each with any whitespace ``str.strip`` takes around it. The rows match
+    one compiled pattern; with commas read as spaces, one ``split`` of them
+    gives every integer. Any other line that is neither blank nor a comment
+    is diagnosed.
+    """
+    lines = text.splitlines()
+    at = next((i for i, raw in enumerate(lines) if raw.strip()[:1] not in ("", "#")), None)
+    if at is None:
         raise SetFileError("missing 'group <spec>' or 'box <spec>' header")
-    return ParsedSetFile(kind=header[0], spec=header[1], rows=tuple(rows))
+    parts = lines[at].strip().split(None, 1)
+    if len(parts) != 2 or parts[0] not in ("group", "box"):
+        raise SetFileError(f"line {at + 1}: expected 'group <spec>' or 'box <spec>' header")
+    try:
+        spec = parse_group_spec(parts[1])
+    except ValueError as exc:
+        raise SetFileError(f"line {at + 1}: {exc}") from exc
+    d = len(spec.orders)
+    row = re.compile(rf"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*){{{d - 1}}}")
+    body = lines[at + 1 :]
+    rows = list(compress(body, map(row.fullmatch, body)))
+    if len(rows) < len(body):  # blank lines, comments, or a malformed row
+        for lineno, raw in enumerate(body, start=at + 2):
+            line = raw.strip()
+            if line[:1] in ("", "#") or row.fullmatch(raw):
+                continue
+            toks = line.split(",")
+            if all(_INT_RE.fullmatch(tok.strip()) for tok in toks):
+                raise SetFileError(f"line {lineno}: expected {d} coordinates, got {len(toks)}")
+            raise SetFileError(f"line {lineno}: expected comma-separated integers, got {line!r}")
+    return parts[0], spec, list(map(int, " ".join(rows).replace(",", " ").split()))
 
 
 def point_set_from_file(text: str) -> PointSet:
     """Parse a ``group`` file; coordinates are reduced, duplicates rejected."""
-    parsed = parse_set_file(text)
-    if parsed.kind != "group":
-        raise SetFileError(f"expected a 'group' file, found '{parsed.kind}'")
-    spec = parsed.spec
-    seen: set[tuple[int, ...]] = set()
-    elems = []
-    for row in parsed.rows:
-        el = GroupElement(spec, row)
-        if el.coords in seen:
-            raise SetFileError(f"duplicate point {','.join(map(str, row))}")
-        seen.add(el.coords)
-        elems.append(el)
-    return PointSet(spec, elems)
+    kind, spec, values = _read(text)
+    if kind != "group":
+        raise SetFileError(f"expected a 'group' file, found '{kind}'")
+    d = len(spec.orders)
+    try:
+        coords = np.array(values, dtype=np.int64)
+    except OverflowError:  # a coordinate beyond int64: reduce every one as a Python int
+        coords = np.array([c % n for c, n in zip(values, cycle(spec.orders))], dtype=np.int64)
+    ranks = spec.encode(coords.reshape(-1, d) % np.array(spec.orders))
+    order = np.argsort(ranks, kind="stable")  # repeats of a rank follow its first row
+    ranks = ranks[order]
+    repeats = order[1:][ranks[1:] == ranks[:-1]]
+    if repeats.size:
+        i = int(repeats.min()) * d
+        raise SetFileError(f"duplicate point {','.join(map(str, values[i : i + d]))}")
+    return PointSet.from_ranks(spec, ranks)
 
 
 def boxed_set_from_file(text: str) -> BoxedSet:
     """Parse a ``box`` file; points must lie inside the base box."""
-    parsed = parse_set_file(text)
-    if parsed.kind != "box":
-        raise SetFileError(f"expected a 'box' file, found '{parsed.kind}'")
-    dims = parsed.spec.orders
-    if len(set(parsed.rows)) != len(parsed.rows):
+    kind, spec, values = _read(text)
+    if kind != "box":
+        raise SetFileError(f"expected a 'box' file, found '{kind}'")
+    rows = tuple(zip(*[iter(values)] * len(spec.orders)))
+    if len(set(rows)) != len(rows):
         raise SetFileError("duplicate point in box file")
     try:
-        return BoxedSet(dims, parsed.rows, lift_factor=1)
+        return BoxedSet(spec.orders, rows, lift_factor=1)
     except ValueError as exc:
         raise SetFileError(str(exc)) from exc
 

@@ -260,16 +260,16 @@ def _galois_labels(spec: GroupSpec) -> np.ndarray:
     h -> u h takes the least label over the cycle through h: after k
     doublings, over u^j h for j < 2^k. Taking the generators one after
     another gives the least rank over the whole class, at a cost of
-    |G| log2(L) per generator.
+    |G| log2(ord(u)) per generator.
     """
     L = spec.exponent
-    ranks = np.arange(spec.order)
-    label = ranks
+    label = np.arange(spec.order)
     for u in _unit_generators(L):
-        step = np.zeros_like(ranks)
-        for c, n, s in zip(spec.decode(ranks).T, spec.orders, spec._strides):
-            step += c * u % n * s
-        for _ in range(L.bit_length()):  # 2^k > L > ord(u)
+        step = np.zeros(1, dtype=np.int64)  # h -> u h on ranks, built factor by factor
+        for n, s in zip(spec.orders, spec._strides):
+            step = (step[:, None] + np.arange(n) * u % n * s).ravel()
+        ord_u = next(j for j in range(1, L) if pow(u, j, L) == 1)
+        for _ in range((ord_u - 1).bit_length()):  # until 2^k >= ord(u)
             label = np.minimum(label, label[step])
             step = step[step]
     label.flags.writeable = False
@@ -314,7 +314,7 @@ def _packed_graph(
     degree = np.empty(size, dtype=np.int64)
     # Every value stays below 2 * MAX_SEARCH_ORDER, which int16 holds.
     for i, diff in _difference_blocks(spec, ranks, np.int16):
-        adj = zero[diff]
+        adj = zero.take(diff)
         degree[i:i + len(adj)] = np.count_nonzero(adj, axis=1)
         packed[i:i + len(adj)] = np.packbits(adj, axis=1, bitorder="little")
     return packed, degree

@@ -347,6 +347,58 @@ def test_unknown_command_exits_2(files, capsys):
     assert exc.value.code == 2
 
 
+_COMMAND_NAMES = [
+    "check-tiling", "check-spectral", "find-spectrum", "find-complement",
+    "diagonal-check", "product-diagonal", "harness", "pipeline",
+]
+
+
+def _exit_and_output(parse, capsys) -> tuple[object, str, str]:
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", _COMMAND_NAMES)
+@pytest.mark.parametrize(
+    "rest",
+    [["--help"], ["--budget"], ["-h", "x"], ["a", "b", "c", "--no-such"]],
+    ids=["help", "missing-value", "help-first", "unrecognized"],
+)
+def test_a_named_command_parses_as_its_subparser_does(capsys, monkeypatch, name, rest):
+    # main builds only the named command's parser; help, usage and error text
+    # must be those of the full parser's subparser, also through sys.argv.
+    from spectile.cli import build_parser, main
+
+    argv = [name, *rest]
+    full = _exit_and_output(lambda: build_parser().parse_args(argv), capsys)
+    assert full[0] == (0 if "-h" in rest or "--help" in rest else 2)
+    assert full[1] or full[2]
+    assert _exit_and_output(lambda: main(argv), capsys) == full
+    monkeypatch.setattr("sys.argv", ["spectile", *argv])
+    assert _exit_and_output(lambda: main(None), capsys) == full
+
+
+@pytest.mark.parametrize("name", [n for n in _COMMAND_NAMES if n != "harness"])
+def test_a_named_command_reports_missing_arguments_as_its_subparser_does(capsys, name):
+    from spectile.cli import build_parser, main
+
+    full = _exit_and_output(lambda: build_parser().parse_args([name]), capsys)
+    assert full[0] == 2 and "the following arguments are required" in full[2]
+    assert _exit_and_output(lambda: main([name]), capsys) == full
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["frobnicate"], ["--json", "harness"]])
+def test_without_a_command_main_uses_the_full_parser(capsys, monkeypatch, argv):
+    from spectile.cli import build_parser, main
+
+    full = _exit_and_output(lambda: build_parser().parse_args(argv), capsys)
+    assert _exit_and_output(lambda: main(argv), capsys) == full
+    monkeypatch.setattr("sys.argv", ["spectile", *argv])
+    assert _exit_and_output(lambda: main(None), capsys) == full
+
+
 _INT_FLAGS = [
     ["harness", "--group", "2", "--budget"],
     ["harness", "--group", "2", "--seed"],

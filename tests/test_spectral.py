@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import are_orthogonal, character_pairing, float_char_sum
@@ -11,6 +13,7 @@ from spectile.groups import GroupSpec, PointSet
 from spectile.spectral import (
     SpectralFailure,
     SpectrumCertificate,
+    _galois_labels,
     char_sum_on_set,
     find_spectrum,
     verify_spectral_pair,
@@ -273,6 +276,20 @@ def test_char_sum_numpy_path_matches_small_path():
         whole = char_sum_on_set(big, h)
         parts = [char_sum_on_set(chunk, h).counts for chunk in small_chunks]
         assert whole.counts == tuple(map(sum, zip(*parts)))
+
+
+@pytest.mark.parametrize("orders", [[5040], [3, 9], [271], [16], [4, 12], [3, 6, 9], [5, 10]])
+def test_galois_labels_are_the_least_rank_of_each_orbit(orders):
+    # Units of order above 2 (up to 12 mod 5040, 6 mod 9, 270 mod 271):
+    # pointer doubling must still cover each whole cycle u^j h.
+    g = GroupSpec(orders)
+    L = g.exponent
+    coords = g.decode(np.arange(g.order))
+    least = np.arange(g.order)
+    for u in range(1, L):
+        if math.gcd(u, L) == 1:
+            least = np.minimum(least, g.encode(coords * u % np.array(orders)))
+    assert np.array_equal(_galois_labels(g), least)
 
 
 @pytest.mark.parametrize("canonical", [False, True])
