@@ -55,8 +55,8 @@ from .spectral import (
 from .tiling import (
     TilingCertificate,
     TilingFailure,
-    _count_table,
     _first_zero,
+    _row_counts,
     verify_tiling,
 )
 
@@ -141,8 +141,8 @@ def sum_multiset_check(P: PointSet, base: GroupSpec | None = None) -> MultisetRe
     n = base.order
     if len(P) != n:
         raise ValueError(f"|P| = {len(P)} but |G| = {n}")
-    a, b = np.divmod(P.rank_array[:, None], n)  # rank((a, b)) = rank(a) |G| + rank(b)
-    table = _count_table(base, a, b).tolist()
+    a, b = np.divmod(P.rank_array[None, :], n)  # rank((a, b)) = rank(a) |G| + rank(b)
+    table = _row_counts(base.add(a, b), n)[:, 0].tolist()
     r = _first_zero(table)
     return MultisetReport(
         ok=r is None,
@@ -326,13 +326,6 @@ def _pairing_exponents(base: GroupSpec) -> np.ndarray:
     """
     coords = base.decode(np.arange(base.order))
     return coords[_class_representatives(base)] * base._char_weights @ coords.T % base.exponent
-
-
-def _row_counts(cells: np.ndarray, n: int) -> np.ndarray:
-    """counts[x, i]: how often x < n occurs in row i of ``cells``, x-major to test across rows."""
-    rows = len(cells)
-    flat = cells * np.intp(rows) + np.arange(rows)[:, None]
-    return np.bincount(flat.ravel(), minlength=n * rows).reshape(n, rows)
 
 
 def _multiset_verdicts(base: GroupSpec, streams: tuple[np.ndarray, ...]) -> list[np.ndarray]:

@@ -23,20 +23,15 @@ from .groups import (
 from .spectral import DEFAULT_SEARCH_NODES, MAX_SEARCH_ORDER, SearchOutcome
 
 
-def _count_table(spec: GroupSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Count table over ``spec``: entry r counts the pairs of ranks with rank(g_x + g_y) = r.
+def _row_counts(cells: np.ndarray, n: int) -> np.ndarray:
+    """counts[x, i]: how often x < n occurs in row i of ``cells``, x-major to test across rows.
 
-    x and y are 2-D rank arrays, paired entry by entry after broadcasting;
-    y has one row, paired with every row of x, or as many rows as x. The
-    pairs are counted in row blocks of at most ``_BLOCK_ENTRIES`` pairs,
-    each added into the table at a cost linear in the block.
+    The one count step of the table routes: coverage, the multiset test and
+    the harness's table route.
     """
-    table = np.zeros(spec.order, dtype=np.int64)
-    rows = max(1, _BLOCK_ENTRIES // max(x.shape[1], y.shape[1]))
-    for i in range(0, len(x), rows):
-        cells = spec.add(x[i : i + rows], y if len(y) == 1 else y[i : i + rows])
-        np.add.at(table, cells.ravel(), 1)
-    return table
+    rows = len(cells)
+    flat = cells * np.intp(rows) + np.arange(rows)[:, None]
+    return np.bincount(flat.ravel(), minlength=n * rows).reshape(n, rows)
 
 
 def _first_zero(table: list[int]) -> int | None:
@@ -59,7 +54,13 @@ def sum_coverage(
         raise BudgetExceededError(
             f"coverage table of size {spec.order} exceeds budget {budget}"
         )
-    return _count_table(spec, A.rank_array[:, None], B.rank_array[None, :]).tolist()
+    # Blocks of at most _BLOCK_ENTRIES pairs, one row of the count step each.
+    table = np.zeros(spec.order, dtype=np.int64)
+    rows = max(1, _BLOCK_ENTRIES // max(1, len(B)))
+    for i in range(0, len(A), rows):
+        cells = spec.add(A.rank_array[i : i + rows, None], B.rank_array)
+        table += _row_counts(cells.reshape(1, -1), spec.order)[:, 0]
+    return table.tolist()
 
 
 @dataclass(frozen=True)

@@ -492,15 +492,15 @@ def test_product_diagonal_routes_read_separate_tables(files, capsys, monkeypatch
 
     from spectile import diagonal, tiling
 
-    real = tiling._count_table
+    real = tiling._row_counts
 
-    def dropped(spec, x, y):
-        table = real(spec, x, y)
-        table[np.flatnonzero(table)[-1]] -= 1
+    def dropped(cells, n):
+        table = real(cells, n)
+        table.flat[np.flatnonzero(table)[-1]] -= 1
         return table
 
-    monkeypatch.setattr(tiling, "_count_table", dropped)
-    monkeypatch.setattr(diagonal, "_count_table", dropped)
+    monkeypatch.setattr(tiling, "_row_counts", dropped)
+    monkeypatch.setattr(diagonal, "_row_counts", dropped)
     code = run_cli_code(["product-diagonal", files["S01"], files["L02"]])
     captured = capsys.readouterr()
     assert code == 4
