@@ -16,6 +16,7 @@ canonical file byte for byte.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import compress, cycle
 
 import numpy as np
@@ -61,7 +62,10 @@ def _read(text: str) -> tuple[str, GroupSpec, list[int]]:
     except ValueError as exc:
         raise SetFileError(f"line {at + 1}: {exc}") from exc
     d = len(spec.orders)
-    row = re.compile(rf"\s*[+-]?[0-9]+\s*(?:,\s*[+-]?[0-9]+\s*){{{d - 1}}}")
+    # At most the digits int() converts (leading zeros count, sign and spaces do not).
+    digits = sys.get_int_max_str_digits() or ""
+    num = rf"[+-]?[0-9]{{1,{digits}}}"
+    row = re.compile(rf"\s*{num}\s*(?:,\s*{num}\s*){{{d - 1}}}")
     body = lines[at + 1 :]
     rows = list(compress(body, map(row.fullmatch, body)))
     if len(rows) < len(body):  # blank lines, comments, or a malformed row
@@ -71,6 +75,8 @@ def _read(text: str) -> tuple[str, GroupSpec, list[int]]:
                 continue
             toks = line.split(",")
             if all(_INT_RE.fullmatch(tok.strip()) for tok in toks):
+                if len(toks) == d:
+                    raise SetFileError(f"line {lineno}: more than {digits} digits in a coordinate")
                 raise SetFileError(f"line {lineno}: expected {d} coordinates, got {len(toks)}")
             raise SetFileError(f"line {lineno}: expected comma-separated integers, got {line!r}")
     return parts[0], spec, list(map(int, " ".join(rows).replace(",", " ").split()))

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,3 +185,13 @@ def test_reader_reduces_coordinates_beyond_int64():
     big = 2**70 + 5
     ps = point_set_from_file(f"group 6x7\n{big},{-big}\n1,1\n")
     assert ps == PointSet.from_coords(GroupSpec([6, 7]), [[big % 6, -big % 7], [1, 1]])
+
+
+def test_reader_names_the_line_of_a_coordinate_too_long_to_convert():
+    limit = sys.get_int_max_str_digits()
+    text = f"group 4\n# {limit} digits convert, 5000 do not\n+{'7' * limit}\n{'1' * 5000}\n"
+    with pytest.raises(SetFileError) as exc:
+        point_set_from_file(text)
+    assert str(exc.value) == f"line 4: more than {limit} digits in a coordinate"
+    assert point_set_from_file(text.rsplit("\n", 2)[0] + "\n") == PointSet.from_ranks(
+        GroupSpec([4]), [int("7" * limit) % 4])
