@@ -60,8 +60,8 @@ from .tiling import (
     verify_tiling,
 )
 
-# Cap on character evaluations (pairs times points) for the full pairwise
-# verification route; beyond it only the multiset route runs.
+# Cap on character evaluations (distinct differences times points) for the
+# full pairwise verification route; beyond it only the multiset route runs.
 DEFAULT_PAIR_OPS = 10**7
 
 DEFAULT_HARNESS_BUDGET = 100_000
@@ -180,8 +180,8 @@ def check_diagonal_spectral(
     """
     base = pair.base if pair is not None else _infer_base(P.group)
     report = sum_multiset_check(P, base)
-    # Character evaluations of the pairwise route: diagonal pairs times points.
-    pairwise_cost = base.order * (base.order - 1) // 2 * len(P)
+    # Character evaluations of the pairwise route: distinct differences (g, g) times points.
+    pairwise_cost = (base.order - 1) * len(P)
     if pairwise_cost > pair_budget:
         return DiagonalCheck(
             spectral=None,

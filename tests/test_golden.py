@@ -198,8 +198,8 @@ CASES: dict[str, list[str]] = {
     ],
     "harness-64-sampled": ["harness", "--group", "64", "--budget", "300", "--seed", "1"],
     "harness-2pow6-sampled": ["harness", "--group", "2^6", "--budget", "300", "--seed", "1"],
-    # the benchmark's two sampled sweeps, and order 512, above diagonal-check's
-    # pair budget, where both streams are drawn and checked
+    # the benchmark's two sampled sweeps, and order 512, where both streams are
+    # drawn and checked
     "harness-6-sampled-json": [
         "harness", "--group", "6", "--budget", "100000", "--seed", "7", "--threads", "1",
         "--json",
