@@ -33,9 +33,12 @@ hits both alike. The cases are the rows of ``table``, one builder per kind:
   ``{0,n/2}^d`` in ``Z_n^d``, split into the tiling test and the zero sets.
 
 Each record is one layer of one case: the runs of both trees, their
-medians and interquartile ranges (numpy's linear percentiles), and in how
-many runs the change was better (``rows_per_s`` higher, every other layer
-lower; ties count for neither). A case that a tree refuses with
+medians and interquartile ranges (numpy's linear percentiles), in how many
+runs the change was better (``rows_per_s`` higher, every other layer
+lower; ties count for neither), and the median and IQR of the per-run
+ratio change / parent where the parent never reads 0. Drift between
+processes moves both trees' medians alike, by more than their IQR on the
+microsecond cases, but cancels in the ratio. A case that a tree refuses with
 ``BudgetExceededError`` is recorded as ``"refused"``. Every case runs once
 per tree untimed first, which fills the process-lifetime caches, except
 those that ``first_call`` clears.
@@ -217,10 +220,9 @@ def table(gen) -> list[tuple]:
     ]
 
 
-def summary(runs: list[float]) -> dict:
-    q1, med, q3 = np.percentile(runs, [25, 50, 75])
-    return {"runs": [round(x, 9) for x in runs], "median": round(float(med), 9),
-            "iqr": round(float(q3 - q1), 9)}
+def summary(values) -> dict:
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": round(float(med), 9), "iqr": round(float(q3 - q1), 9)}
 
 
 def measure(trees: dict, kind, arg) -> list[dict]:
@@ -239,11 +241,14 @@ def measure(trees: dict, kind, arg) -> list[dict]:
     for layer in next((r[0] for r in runs.values() if r[0] is not None), {}):
         record = {"kind": kind.__name__, "case": cases["parent"][0], "layer": layer}
         for tree, rows in runs.items():
-            record[tree] = "refused" if None in rows else summary([r[layer] for r in rows])
+            record[tree] = "refused" if None in rows else {
+                "runs": [round(r[layer], 9) for r in rows], **summary([r[layer] for r in rows])}
         if "refused" not in (record["parent"], record["change"]):
+            p, c = (np.array([r[layer] for r in runs[tree]]) for tree in ("parent", "change"))
             sign = -1 if layer in HIGHER_IS_BETTER else 1
-            record["change_won"] = sum(sign * (c - p) < 0 for p, c in zip(
-                record["parent"]["runs"], record["change"]["runs"]))
+            record["change_won"] = int(np.sum(sign * (c - p) < 0))
+            if p.all():  # paired, so drift of the machine's speed cancels
+                record["change_over_parent"] = summary(c / p)
         records.append(record)
     return records
 
@@ -265,9 +270,10 @@ def main(argv: list[str] | None = None) -> int:
             records.append(record)
             medians = (v if isinstance(v, str) else f"{v['median']:.6g}"
                        for v in (record[tree] for tree in trees))
+            ratio = record.get("change_over_parent", {}).get("median", "-")
             print(f"{record['case']:32} {record['layer']:14}",
                   *(f"{tree} {m}" for tree, m in zip(trees, medians)),
-                  f"won {record.get('change_won', '-')}/{RUNS}", flush=True)
+                  f"ratio {ratio:.4}", f"won {record.get('change_won', '-')}/{RUNS}", flush=True)
     out = {"command": "python3 bench/corpus.py --parent <parent>/src --change src --out FILE",
            "runs_per_tree": RUNS, "machine": f"{platform.machine()}, {os.cpu_count()} CPUs",
            "python": platform.python_version(), "numpy": np.__version__, "records": records}

@@ -40,11 +40,18 @@ def test_corpus_writes_one_record_schema(tmp_path, monkeypatch):
     assert {r["layer"] for r in records if r["kind"] == "product_diagonal"} == {
         "tiling_s", "spectral_s", "total_s"}
     for r in records:
-        assert set(r) == {"kind", "case", "layer", "parent", "change", "change_won"}
+        assert set(r) - {"change_over_parent"} == {
+            "kind", "case", "layer", "parent", "change", "change_won"}
         for tree in ("parent", "change"):
             assert set(r[tree]) == {"runs", "median", "iqr"}
             assert len(r[tree]["runs"]) == 1
             assert r[tree]["median"] == r[tree]["runs"][0] and r[tree]["iqr"] == 0
         assert r["change_won"] in (0, 1)
-        if r["layer"] in ("nodes", "disagreements"):  # counts: the same tree twice ties
+        # The ratio is left out exactly where the parent reads 0.
+        assert ("change_over_parent" in r) == (r["parent"]["median"] != 0)
+        if "change_over_parent" in r:
+            assert set(r["change_over_parent"]) == {"median", "iqr"}
+            assert r["change_over_parent"]["iqr"] == 0
+        if r["layer"] == "nodes":  # a count: the same tree twice ties
             assert r["parent"] == r["change"] and r["change_won"] == 0
+            assert r["change_over_parent"]["median"] == 1
