@@ -101,8 +101,8 @@ def clock(*wraps):
                     totals[layer] += time.perf_counter() - t0
         return call
 
-    for (module, attr, inner), (_, _, layer) in zip(saved, wraps):
-        setattr(module, attr, timed(inner, layer))
+    for module, attr, layer in wraps:
+        setattr(module, attr, timed(getattr(module, attr), layer))
     try:
         yield totals
     finally:
