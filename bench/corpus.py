@@ -5,8 +5,10 @@ Usage (from the repository root)::
     python3 bench/corpus.py --parent /path/to/parent/src --change src --out BENCH.json
 
 Both trees are imported under two package names, and each timed run of a
-case runs the parent and then the change, so drift of the machine's speed
-hits both alike. The cases are the rows of ``table``, one builder per kind:
+case runs both trees, the parent first on odd runs and the change first on
+even ones, so drift of the machine's speed, and any edge of the tree that
+runs first, hits both alike. The cases are the rows of ``table``, one
+builder per kind:
 
 - ``batch``: ``_batch_is_zero`` on (rows, L) histograms of 8 random
   exponents, the shapes the harness, the zero sets and the walks of
@@ -30,7 +32,11 @@ hits both alike. The cases are the rows of ``table``, one builder per kind:
 - ``small_sets``: ``find_spectrum`` per call over 200 seeded random sets
   of at most 6 points, where the fixed cost of a call dominates;
 - ``product_diagonal``: ``product_with_diagonal`` of ``[0,n/2)^d`` and
-  ``{0,n/2}^d`` in ``Z_n^d``, split into the tiling test and the zero sets.
+  ``{0,n/2}^d`` in ``Z_n^d``, split into the tiling test and the zero sets;
+- ``pipeline``: ``tiling_product_pipeline`` of ``[0,2)^2`` and ``{0,2}^2`` in
+  the 4x4 box at lift factor k, the ``pipeline`` command's cases, split into
+  the box arithmetic (``lift``, ``box_product``, ``to_quotient`` and
+  ``product_lift_identity``) and the verification of the lifted spectrum.
 
 Each record is one layer of one case: the runs of both trees, their
 medians and interquartile ranges (numpy's linear percentiles), in how many
@@ -74,7 +80,8 @@ def load(name: str, src: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("cyclotomic", "groups", "spectral", "tiling", "diagonal", "setfiles"):
+    for module in ("cyclotomic", "groups", "spectral", "tiling", "diagonal", "lifting",
+                   "setfiles"):
         importlib.import_module(f"{name}.{module}")
     return package
 
@@ -202,6 +209,20 @@ def product_diagonal(pkg, group):
     return f"product_diagonal {group}", run
 
 
+def pipeline(pkg, k):
+    lifting = pkg.lifting
+    A = lifting.BoxedSet([4, 4], itertools.product(range(2), repeat=2))
+    B = lifting.BoxedSet([4, 4], itertools.product((0, 2), repeat=2))
+    box = ("lift", "box_product", "to_quotient", "product_lift_identity")
+
+    def run():
+        with clock(*((lifting, f, "lift_s") for f in box),
+                   (lifting, "verify_spectral_pair", "verify_s")) as layers:
+            layers["total_s"] = seconds(lambda: lifting.tiling_product_pipeline(A, B, k))
+        return layers
+    return f"pipeline 4x4 k={k}", run
+
+
 def table(gen) -> list[tuple]:
     """The cases, as (kind, argument) rows: kind(package, argument) builds a case."""
     search = gen.make("search", SEED)
@@ -217,6 +238,7 @@ def table(gen) -> list[tuple]:
           for op in search.ops if op.argv[0] == "find-spectrum"),
         *((small_sets, group) for group in ("12", "2x6", "2^3", "64")),
         (product_diagonal, "24^3"),
+        *((pipeline, k) for k in (2, 3, 4)),
     ]
 
 
@@ -229,8 +251,9 @@ def measure(trees: dict, kind, arg) -> list[dict]:
     """The records of one case: one per layer, both trees timed on each run."""
     cases = {tree: kind(pkg, arg) for tree, pkg in trees.items()}
     runs = {tree: [] for tree in trees}
+    order = list(trees.items())
     for i in range(RUNS + 1):  # run 0 warms up
-        for tree, pkg in trees.items():
+        for tree, pkg in order if i % 2 else order[::-1]:
             try:
                 layers = cases[tree][1]()
             except pkg.groups.BudgetExceededError:

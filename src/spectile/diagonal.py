@@ -95,7 +95,7 @@ def diagonal_subgroup(base: GroupSpec, budget: int = DEFAULT_ENUM_BUDGET) -> Dia
         )
     ambient = product_group(base, base)
     ranks = np.arange(n)
-    negated = [(-g).rank() for g in base.elements(budget=budget)]
+    negated = base.encode(-base.decode(ranks) % base.orders)
     # rank((g, h)) = rank(g) |G| + rank(h)
     diagonal = PointSet.from_ranks(ambient, ranks * n + ranks)
     antidiagonal = PointSet.from_ranks(ambient, ranks * n + negated)

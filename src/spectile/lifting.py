@@ -11,7 +11,6 @@ says nothing about Z^d, and the pipeline labels such evidence accordingly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -19,7 +18,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .diagonal import product_with_diagonal
-from .groups import DEFAULT_ENUM_BUDGET, BudgetExceededError, GroupSpec, PointSet
+from .groups import (DEFAULT_ENUM_BUDGET, BudgetExceededError, GroupSpec, PointSet,
+                     product_point_set)
 from .spectral import SpectrumCertificate, verify_spectral_pair
 
 DEFAULT_MAX_LIFT = 4
@@ -29,24 +29,21 @@ class BoxedSet:
     """A duplicate-free set of integer vectors inside a (possibly lifted) box.
 
     ``dims`` is the base box; after lifting by ``k`` (recorded in
-    ``lift_factor``) coordinates range over ``[0, k*n_i)``.
+    ``lift_factor``) coordinates range over ``[0, k*n_i)``, which are the
+    reduced coordinates of ``prod Z_{k n_i}``. ``point_set`` holds the points
+    as a :class:`PointSet` of that group, so its rank order is the
+    lexicographic order of ``points``.
     """
 
-    __slots__ = ("dims", "points", "lift_factor")
+    __slots__ = ("dims", "lift_factor", "point_set")
 
-    def __init__(
-        self,
-        dims: Iterable[int],
-        points: Iterable[Sequence[int]],
-        lift_factor: int = 1,
-    ):
+    def __init__(self, dims: Iterable[int], points: Iterable[Sequence[int]], lift_factor: int = 1):
         ds = tuple(int(n) for n in dims)
         if not ds or any(n < 1 for n in ds):
             raise ValueError(f"box dims must be positive integers, got {ds}")
         if lift_factor < 1:
             raise ValueError(f"lift factor must be positive, got {lift_factor}")
-        seen: set[tuple[int, ...]] = set()
-        pts: list[tuple[int, ...]] = []
+        rows: list[tuple[int, ...]] = []
         for p in points:
             t = tuple(int(c) for c in p)
             if len(t) != len(ds):
@@ -56,37 +53,45 @@ class BoxedSet:
                     raise ValueError(
                         f"coordinate {c} of point {t} outside [0, {n * lift_factor})"
                     )
-            if t not in seen:
-                seen.add(t)
-                pts.append(t)
-        pts.sort()
+            rows.append(t)
+        group = GroupSpec(n * lift_factor for n in ds)
         self.dims = ds
-        self.points = tuple(pts)
         self.lift_factor = int(lift_factor)
+        self.point_set = PointSet.from_ranks(group, group.encode(rows))
+
+    @classmethod
+    def _trusted(cls, dims: tuple[int, ...], point_set: PointSet, lift_factor: int) -> BoxedSet:
+        # Points already inside the box: built from ranks, without re-validating.
+        bs = object.__new__(cls)
+        bs.dims, bs.point_set, bs.lift_factor = dims, point_set, lift_factor
+        return bs
+
+    @property
+    def points(self) -> tuple[tuple[int, ...], ...]:
+        ps = self.point_set
+        return tuple(map(tuple, ps.group.decode(ps.rank_array).tolist()))
 
     @property
     def is_base(self) -> bool:
         return self.lift_factor == 1
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.point_set)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, BoxedSet)
             and self.dims == other.dims
             and self.lift_factor == other.lift_factor
-            and self.points == other.points
+            and self.point_set == other.point_set
         )
 
     def __hash__(self) -> int:
-        return hash((self.dims, self.lift_factor, self.points))
+        return hash((self.dims, self.lift_factor, self.point_set))
 
     def __repr__(self) -> str:
-        return (
-            f"BoxedSet(dims={list(self.dims)}, {len(self.points)} points, "
-            f"lift_factor={self.lift_factor})"
-        )
+        dims = list(self.dims)
+        return f"BoxedSet(dims={dims}, {len(self)} points, lift_factor={self.lift_factor})"
 
 
 def lift(A: BoxedSet, k: int) -> BoxedSet:
@@ -100,12 +105,10 @@ def lift(A: BoxedSet, k: int) -> BoxedSet:
     if k < 1:
         raise ValueError(f"lift factor must be positive, got {k}")
     d = len(A.dims)
-    pts = [
-        tuple(c + m * n for c, m, n in zip(p, shifts, A.dims))
-        for p in A.points
-        for shifts in itertools.product(range(k), repeat=d)
-    ]
-    out = BoxedSet(A.dims, pts, lift_factor=k)
+    grid = GroupSpec((k,) * d).decode(np.arange(k**d)) * np.array(A.dims)
+    group = GroupSpec(k * n for n in A.dims)
+    coords = A.point_set.group.decode(A.point_set.rank_array)[:, None, :] + grid
+    out = BoxedSet._trusted(A.dims, PointSet.from_ranks(group, group.encode(coords)), k)
     if len(out) != len(A) * k**d:
         raise AssertionError("grid lift collided; input set was not base-boxed")
     return out
@@ -115,15 +118,13 @@ def box_product(A: BoxedSet, B: BoxedSet) -> BoxedSet:
     """Cartesian product, concatenating coordinates (same lift factor required)."""
     if A.lift_factor != B.lift_factor:
         raise ValueError("cannot form the product of boxes at different lift factors")
-    pts = [a + b for a in A.points for b in B.points]
-    return BoxedSet(A.dims + B.dims, pts, lift_factor=A.lift_factor)
+    ps = product_point_set(A.point_set, B.point_set)
+    return BoxedSet._trusted(A.dims + B.dims, ps, A.lift_factor)
 
 
 def product_lift_identity(A: BoxedSet, B: BoxedSet, k: int) -> bool:
     """Is lift(A,k) x lift(B,k) the same point set as lift(A x B, k)?"""
-    lhs = box_product(lift(A, k), lift(B, k))
-    rhs = lift(box_product(A, B), k)
-    return lhs == rhs
+    return box_product(lift(A, k), lift(B, k)) == lift(box_product(A, B), k)
 
 
 def to_quotient(A: BoxedSet, moduli: Iterable[int]) -> PointSet:
@@ -136,14 +137,16 @@ def to_quotient(A: BoxedSet, moduli: Iterable[int]) -> PointSet:
     if len(ms) != len(A.dims):
         raise ValueError(f"expected {len(A.dims)} moduli, got {len(ms)}")
     spec = GroupSpec(ms)
-    for p in A.points:
-        for c, m in zip(p, ms):
-            if c >= m:
-                raise ValueError(
-                    f"coordinate {c} of point {p} not below modulus {m}; "
-                    "reduction would not be injective"
-                )
-    return PointSet.from_coords(spec, A.points)
+    coords = A.point_set.group.decode(A.point_set.rank_array)
+    above = np.argwhere(coords >= np.array(ms))
+    if above.size:  # row-major: the first point in lexicographic order, then its first axis
+        i, j = above[0]
+        p = tuple(coords[i].tolist())
+        raise ValueError(
+            f"coordinate {p[j]} of point {p} not below modulus {ms[j]}; "
+            "reduction would not be injective"
+        )
+    return PointSet.from_ranks(spec, spec.encode(coords))
 
 
 def scaled_diagonal_spectrum(dims: Sequence[int], k: int) -> PointSet:
@@ -218,63 +221,37 @@ def tiling_product_pipeline(
     dims = A.dims
     base = GroupSpec(dims)
     if len(A) * len(B) != base.order:
-        raise ValueError(
-            f"|A|*|B| = {len(A)}*{len(B)} != {base.order} = box volume"
-        )
+        raise ValueError(f"|A|*|B| = {len(A)}*{len(B)} != {base.order} = box volume")
     moduli = tuple(k * n for n in dims) * 2
     quot_order = math.prod(moduli)
     if quot_order > enum_budget:
         raise BudgetExceededError(
             f"lifted quotient order {quot_order} exceeds budget {enum_budget}"
         )
+    pd = product_with_diagonal(to_quotient(A, dims), to_quotient(B, dims))
 
-    steps: list[PipelineStep] = []
+    def lifted_spectrum() -> tuple[bool, str]:
+        Cq = to_quotient(lift(box_product(A, B), k), moduli)
+        res = verify_spectral_pair(Cq, scaled_diagonal_spectrum(dims, k))
+        if isinstance(res, SpectrumCertificate):
+            return True, f"|set|={len(Cq)} pairs-checked={res.checked_pairs}"
+        return False, res.detail
 
-    def skip_rest(names: list[str]) -> PipelineReport:
-        for name in names:
-            steps.append(PipelineStep(name, "skipped", "earlier step failed"))
-        return PipelineReport(dims=dims, k=k, moduli=moduli, steps=tuple(steps))
-
-    Aq = to_quotient(A, dims)
-    Bq = to_quotient(B, dims)
-    pd = product_with_diagonal(Aq, Bq)
-    if pd.tiling_ok:
-        steps.append(PipelineStep("tiling", "pass", f"|A|={len(A)} |B|={len(B)}"))
-    else:
-        steps.append(PipelineStep("tiling", "fail", pd.tiling.detail))
-        return skip_rest(["product-diagonal", "lift-identity", "lifted-spectrum"])
-
-    ok = pd.agree and pd.spectral_ok
-    steps.append(
-        PipelineStep(
-            "product-diagonal",
-            "pass" if ok else "fail",
-            f"tiling={'yes' if pd.tiling_ok else 'no'} "
-            f"product-spectral={'yes' if pd.spectral_ok else 'no'} "
-            f"agree={'yes' if pd.agree else 'no'}",
-        )
+    yes = {True: "yes", False: "no"}
+    checks = (  # (name, check): check() -> (passed, detail)
+        ("tiling", lambda: (pd.tiling_ok, f"|A|={len(A)} |B|={len(B)}"
+                            if pd.tiling_ok else pd.tiling.detail)),
+        ("product-diagonal", lambda: (
+            pd.agree and pd.spectral_ok, f"tiling={yes[pd.tiling_ok]} "
+            f"product-spectral={yes[pd.spectral_ok]} agree={yes[pd.agree]}")),
+        ("lift-identity", lambda: (product_lift_identity(A, B, k), f"k={k}")),
+        ("lifted-spectrum", lifted_spectrum),
     )
-    if not ok:
-        return skip_rest(["lift-identity", "lifted-spectrum"])
-
-    if product_lift_identity(A, B, k):
-        steps.append(PipelineStep("lift-identity", "pass", f"k={k}"))
-    else:
-        steps.append(PipelineStep("lift-identity", "fail", f"k={k}"))
-        return skip_rest(["lifted-spectrum"])
-
-    lifted = lift(box_product(A, B), k)
-    Cq = to_quotient(lifted, moduli)
-    spectrum = scaled_diagonal_spectrum(dims, k)
-    res = verify_spectral_pair(Cq, spectrum)
-    if isinstance(res, SpectrumCertificate):
-        steps.append(
-            PipelineStep(
-                "lifted-spectrum",
-                "pass",
-                f"|set|={len(Cq)} pairs-checked={res.checked_pairs}",
-            )
-        )
-    else:
-        steps.append(PipelineStep("lifted-spectrum", "fail", res.detail))
+    steps: list[PipelineStep] = []
+    for name, check in checks:
+        if steps and steps[-1].status != "pass":
+            steps.append(PipelineStep(name, "skipped", "earlier step failed"))
+            continue
+        ok, detail = check()
+        steps.append(PipelineStep(name, "pass" if ok else "fail", detail))
     return PipelineReport(dims=dims, k=k, moduli=moduli, steps=tuple(steps))

@@ -6,9 +6,12 @@ runtime bound assert it; the measured time is printed either way.
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
+
+import numpy as np
 
 from conftest import (
     are_orthogonal,
@@ -18,6 +21,7 @@ from conftest import (
     meets_each_antidiagonal_coset_once,
     run_cli,
 )
+from reference_cyclotomic import dense_is_zero
 from test_cyclotomic import _random_sum
 
 from spectile.diagonal import (
@@ -235,47 +239,86 @@ def test_exact_vs_float_cross_validation():
     _passline("exact-vs-float", t0, f"10000 sums, {zeros} exact zeros, 0 mismatches")
 
 
+def _oracle_tables(orders: list[int]):
+    """Rank-indexed tables of Z_orders, from coordinates only (lexicographic = rank order).
+
+    ``sub[x, y]`` is the rank of g_x - g_y, ``add[x, y]`` that of g_x + g_y,
+    and ``pairing[h, g]`` the exponent e of zeta_L^e = chi_h(g), L the exponent.
+    """
+    coords = np.array(list(product(*(range(n) for n in orders))), dtype=np.int64)
+    mods = np.array(orders, dtype=np.int64)
+    strides = np.cumprod([1] + orders[:0:-1])[::-1]
+    L = math.lcm(*orders)
+    sub = (coords[:, None] - coords[None]) % mods @ strides
+    add = (coords[:, None] + coords[None]) % mods @ strides
+    pairing = (coords[:, None] * coords[None] * (L // mods)).sum(axis=2) % L
+    return sub, add, pairing, L
+
+
+def _oracle_zero_masks(pairing, L: int, sets: np.ndarray) -> np.ndarray:
+    """masks[s, h]: does sum_{g in sets[s]} chi_h(g) vanish?
+
+    Decided by ``dense_is_zero``, once per distinct histogram.
+    """
+    n, m = len(pairing), len(sets)
+    exps = pairing[:, sets] + (np.arange(n * m) * L).reshape(n, m, 1)
+    histograms = np.bincount(exps.ravel(), minlength=n * m * L).reshape(n * m, L)
+    rows, inverse = np.unique(histograms, axis=0, return_inverse=True)
+    zero = np.array([dense_is_zero(row) for row in map(tuple, rows.tolist())])
+    return zero[inverse.ravel()].reshape(n, m).T
+
+
 def test_search_soundness_up_to_12():
+    """Every search verdict, decided again by oracles that share no kernel with spectile.
+
+    A spectrum Lambda of S (|Lambda| = |S|) has every difference lambda - lambda'
+    of distinct points in the zero set of 1_S's character sums, computed here
+    with the sympy-based ``dense_is_zero``; B complements A iff the integer
+    coverage count of A + B is 1 everywhere.
+    """
     t0 = time.time()
-    spectra_checked = complements_checked = 0
+    spectra_checked = complements_checked = spectrum_candidates = complement_candidates = 0
     for n in range(1, 13):
         for orders in _presentations(n):
             spec = GroupSpec(orders)
-            els = list(spec.elements())
+            sub, add, pairing, L = _oracle_tables(orders)
             for k in range(1, n + 1):
-                for cand in combinations(els, k):
-                    S = PointSet(spec, cand)
-                    res = find_spectrum(S)
+                sets = np.array(list(combinations(range(n), k)), dtype=np.int64)
+                masks = _oracle_zero_masks(pairing, L, sets)
+                i, j = np.nonzero(~np.eye(k, dtype=bool))
+                differences = sub[sets[:, i], sets[:, j]]  # per candidate Lambda
+                for S_ranks, zero in zip(sets, masks):
+                    res = find_spectrum(PointSet.from_ranks(spec, S_ranks))
                     assert res.status in ("found", "exhausted")
                     if res.status == "found":
-                        check = verify_spectral_pair(S, res.certificate.spectrum)
-                        assert isinstance(check, SpectrumCertificate)
+                        lam = res.certificate.spectrum.rank_array
+                        assert len(lam) == k and zero[sub[lam[i], lam[j]]].all()
                     else:
-                        assert not any(
-                            isinstance(
-                                verify_spectral_pair(S, PointSet(spec, lam)),
-                                SpectrumCertificate,
-                            )
-                            for lam in combinations(els, k)
-                        )
+                        assert not zero[differences].all(axis=1).any()
+                        spectrum_candidates += len(sets)
                     spectra_checked += 1
-                if n % k == 0:
-                    for cand in combinations(els, k):
-                        A = PointSet(spec, cand)
-                        res = find_complement(A)
-                        assert res.status in ("found", "exhausted")
-                        if res.status == "found":
-                            assert verify_tiling(A, res.certificate.complement).ok
-                        else:
-                            assert not any(
-                                verify_tiling(A, PointSet(spec, b)).ok
-                                for b in combinations(els, n // k)
-                            )
-                        complements_checked += 1
+                if n % k:
+                    continue
+                complements = np.array(list(combinations(range(n), n // k)), dtype=np.int64)
+                offsets = np.arange(len(complements))[:, None] * n
+                for A_ranks in sets:
+                    res = find_complement(PointSet.from_ranks(spec, A_ranks))
+                    assert res.status in ("found", "exhausted")
+                    if res.status == "found":
+                        covered = add[A_ranks[:, None], res.certificate.complement.rank_array]
+                        assert (np.bincount(covered.ravel(), minlength=n) == 1).all()
+                    else:
+                        covered = add[A_ranks[:, None, None], complements].transpose(1, 0, 2)
+                        cells = covered.reshape(len(complements), n) + offsets
+                        counts = np.bincount(cells.ravel(), minlength=cells.size).reshape(-1, n)
+                        assert not (counts == 1).all(axis=1).any()
+                        complement_candidates += len(complements)
+                    complements_checked += 1
     _passline(
         "search-soundness",
         t0,
-        f"{spectra_checked} spectrum searches, {complements_checked} complement searches",
+        f"{spectra_checked} spectrum searches ({spectrum_candidates} candidates), "
+        f"{complements_checked} complement searches ({complement_candidates} candidates)",
     )
 
 

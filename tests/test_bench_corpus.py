@@ -32,13 +32,15 @@ def test_corpus_writes_one_record_schema(tmp_path, monkeypatch):
     records = report["records"]
     assert {r["kind"] for r in records} == {
         "batch", "scalar", "first_call", "harness", "find_spectrum", "small_sets",
-        "product_diagonal"}
+        "product_diagonal", "pipeline"}
     assert {r["layer"] for r in records if r["kind"] == "harness"} == {
         "total_s", "kernel_s", "draw_s", "rows_per_s", "disagreements"}
     assert {r["layer"] for r in records if r["kind"] == "find_spectrum"} == {
         "zero_set_s", "graph_s", "kernel_s", "verify_s", "total_s", "nodes"}
     assert {r["layer"] for r in records if r["kind"] == "product_diagonal"} == {
         "tiling_s", "spectral_s", "total_s"}
+    assert {r["layer"] for r in records if r["kind"] == "pipeline"} == {
+        "lift_s", "verify_s", "total_s"}
     for r in records:
         assert set(r) - {"change_over_parent"} == {
             "kind", "case", "layer", "parent", "change", "change_won"}
