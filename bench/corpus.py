@@ -25,10 +25,13 @@ builder per kind:
   the largest per-row kernel, and ``Z_271`` one whose 271-point rows make
   the draw the larger part of the run;
 - ``find_spectrum``: each ``find-spectrum`` op of the ``search`` workload
-  of ``perfbench/gen.py`` at seed 23, split into the zero set
-  (``_zero_set_ranks``), the clique kernel (``_clique_kernel``, with its
-  node count), re-verification of a found spectrum, and the rest of the
-  call, which is building the orthogonality graph;
+  of ``perfbench/gen.py`` at seed 23, and an interval of 512 in ``Z_2048``
+  and of 1024 in ``Z_4096``, split into the zero set (``_zero_set_ranks``),
+  the clique kernel (``_clique_kernel``, with its node count),
+  re-verification of a found spectrum, and the rest of the call, which is
+  building the orthogonality graph. Each runs at ``workers=1`` and at the
+  CLI's default, the CPUs this process may use; a tree whose
+  ``find_spectrum`` takes no ``workers`` is called without it;
 - ``small_sets``: ``find_spectrum`` per call over 200 seeded random sets
   of at most 6 points, where the fixed cost of a call dominates;
 - ``product_diagonal``: ``product_with_diagonal`` of ``[0,n/2)^d`` and
@@ -62,6 +65,7 @@ import random
 import sys
 import time
 from contextlib import contextmanager
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -171,19 +175,20 @@ def harness(pkg, case):
 
 
 def find_spectrum(pkg, op):
-    label, text, canonical = op
+    label, text, canonical, workers = op
     S, sp = pkg.setfiles.point_set_from_file(text), pkg.spectral
+    split = {"workers": workers} if "workers" in signature(sp.find_spectrum).parameters else {}
 
     def run():
         with clock((sp, "_zero_set_ranks", "zero_set_s"), (sp, "_clique_kernel", "kernel_s"),
                    (sp, "verify_spectral_pair", "verify_s")) as layers:
             t0 = time.perf_counter()
-            res = sp.find_spectrum(S, canonical=canonical)
+            res = sp.find_spectrum(S, canonical=canonical, **split)
             total = time.perf_counter() - t0
         layers["graph_s"] = total - sum(layers.values())
         layers.update(total_s=total, nodes=res.nodes)
         return layers
-    return label, run
+    return f"{label} workers={workers}", run
 
 
 def small_sets(pkg, group):
@@ -226,6 +231,11 @@ def pipeline(pkg, k):
 def table(gen) -> list[tuple]:
     """The cases, as (kind, argument) rows: kind(package, argument) builds a case."""
     search = gen.make("search", SEED)
+    spectrum_ops = [(op.label, search.files[op.argv[1]], "--canonical" in op.argv)
+                    for op in search.ops if op.argv[0] == "find-spectrum"]
+    spectrum_ops += [(f"interval-Z{n}", f"group {n}\n" + "".join(f"{i}\n" for i in range(n // 4)),
+                      False) for n in (2048, 4096)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return [
         *((batch, shape) for shape in ((2, 4096), (6, 1365), (8, 1024), (24, 341), (24, 4),
                                        (271, 30), (512, 64), (1024, 8), (2520, 3),
@@ -234,8 +244,7 @@ def table(gen) -> list[tuple]:
         *((first_call, L) for L in (2520, 5040, 13860)),
         *((harness, case) for case in (("6", 100_000), ("8", 30_000), ("2^8", 200),
                                        ("271", 20_000))),
-        *((find_spectrum, (op.label, search.files[op.argv[1]], "--canonical" in op.argv))
-          for op in search.ops if op.argv[0] == "find-spectrum"),
+        *((find_spectrum, (*op, workers)) for op in spectrum_ops for workers in (1, cpus)),
         *((small_sets, group) for group in ("12", "2x6", "2^3", "64")),
         (product_diagonal, "24^3"),
         *((pipeline, k) for k in (2, 3, 4)),

@@ -155,7 +155,8 @@ def _search_outcome(
 def _cmd_find_spectrum(args) -> tuple[int, list[str], dict]:
     S = _load_points(args.fileS, args.group)
     budget = args.budget if args.budget is not None else spectral.DEFAULT_SEARCH_NODES
-    res = spectral.find_spectrum(S, budget=budget, canonical=args.canonical)
+    res = spectral.find_spectrum(S, budget=budget, canonical=args.canonical,
+                                 workers=args.threads)
     return _search_outcome(
         "find-spectrum",
         S.group,
@@ -313,8 +314,9 @@ def _command_parser(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentP
                    help="work budget (meaning depends on the command)")
     p.add_argument("--seed", type=setfiles.ascii_int, default=0,
                    help="seed for any randomized sampling (default 0)")
-    p.add_argument("--threads", type=setfiles.ascii_int, default=1,
-                   help="must be at least 1; selects nothing (default 1)")
+    p.add_argument("--threads", type=setfiles.ascii_int, default=spectral._available_cpus(),
+                   help="processes for find-spectrum's search: at least 1, at most the "
+                        "CPUs this process may use (the default); other commands use one")
     p.add_argument("--canonical", action="store_true",
                    help="force the lexicographically least search witness")
     p.add_argument("--json", action="store_true", help="emit a machine-readable JSON report")

@@ -11,6 +11,8 @@ vanishing of one exact character sum.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -30,6 +32,8 @@ if TYPE_CHECKING:
 _WALK_MIN_PAIRS = 256
 
 DEFAULT_SEARCH_NODES = 2_000_000
+# Nodes the clique kernel walks before it forks: about five times a fork's cost.
+_SERIAL_NODES = 1000
 MAX_SEARCH_ORDER = 4096
 
 # Histogram blocks are smaller, since bincount copies their exponents to
@@ -277,16 +281,15 @@ def _galois_labels(spec: GroupSpec) -> np.ndarray:
 
 
 def _unit_generators(L: int) -> list[int]:
-    """Units mod L that generate all of them, each outside the group of those before."""
-    gens, subgroup = [], {1}
-    for u in range(2, L):
-        if u not in subgroup and math.gcd(u, L) == 1:
-            gens.append(u)
-            grown, power = set(subgroup), u
-            while power not in subgroup:  # <subgroup, u> is the union of u^j subgroup
-                grown.update(power * x % L for x in subgroup)
-                power = power * u % L
-            subgroup = grown
+    """Units mod L that generate all of them, each the least outside the group of those before."""
+    units, inside, gens = np.gcd(np.arange(L), L) == 1, np.arange(L) == 1 % L, []
+    while (outside := np.flatnonzero(units & ~inside)).size:
+        gens.append(power := int(outside[0]))
+        # After t squarings of u, inside holds u^j H for j < 2^t, H the group
+        # before u: that is all of <H, u> once it holds u^(2^t).
+        while not inside[power]:
+            inside[np.flatnonzero(inside) * power % L] = True
+            power = power * power % L
     return gens
 
 
@@ -374,6 +377,7 @@ def _clique_kernel(
     target: int,
     budget: int,
     canonical: bool,
+    workers: int = 1,
 ) -> tuple[str, list[int] | None, int]:
     """First clique of size ``target`` containing vertex ``start``, or exhaustion.
 
@@ -402,6 +406,11 @@ def _clique_kernel(
     R, and ``take[X.bit_length()]`` removes the lowest vertex of Q and its
     neighbours from Q, and that vertex alone from R. The class is complete
     when Q is empty (X <= full); it is then the R it started from XOR X.
+
+    The walk is split at the root: each branch is a task, its subtree walked
+    from the clique [start, v]. The tasks run in order until ``_SERIAL_NODES``
+    nodes are spent, the rest in ``workers`` processes (``_walk_forked``).
+    Node counts add up in task order from 1 for the root, as in one walk.
     """
     # The tables are indexed by bit length: vertex V - b is bit b - 1 of a
     # row, and X.bit_length() is V + b while Q is not empty.
@@ -412,26 +421,15 @@ def _clique_kernel(
     take = [0] * (V + 1)
     take += [((full ^ a ^ m) << V) | (full ^ m) for a, m in zip(near[1:], bit[1:])]
 
-    # One frame per open node: the candidates not yet branched on, and the
-    # masks of the vertices still to branch on, the last mask first. Branching
-    # on v removes v from the candidates, so a child's candidates are the
-    # remaining ones adjacent to v (in canonical mode, exactly those after v).
-    clique = [start]
-    P = near[V - start]
-    frames: list[list] = []
-    nodes = 0
-    while True:
-        nodes += 1
-        if nodes > budget:
-            return "budget", None, nodes
-        need = target - len(clique)
-        if not need:
-            return "found", clique, nodes
+    def branches(P: int, need: int) -> Iterator[tuple[int, int]]:
+        # (b, candidates) of each child of the node with candidates P, in
+        # branching order. Branching on vertex V - b removes it from P, so the
+        # child's candidates are the remaining ones adjacent to it (in
+        # canonical mode, exactly those after it).
         rest = P
         for c in range(need - 1):  # colours below need: removed, not branched on
             if c + rest.bit_count() < need:
-                rest = 0
-                break
+                return
             X = rest << V | rest
             while X > full:
                 X &= take[X.bit_length()]
@@ -450,27 +448,130 @@ def _clique_kernel(
                     X &= take[X.bit_length()]
                 masks.append(rest ^ X)
                 rest = X
-        frames.append([P, masks])
-        while not frames[-1][1]:
-            frames.pop()
-            if not frames:
-                return "exhausted", None, nodes
-            clique.pop()
-        frame = frames[-1]
-        masks = frame[1]
-        b = masks[-1].bit_length()
-        masks[-1] ^= bit[b]
-        if not masks[-1]:
-            masks.pop()
-        frame[0] ^= bit[b]
-        clique.append(V - b)
-        P = frame[0] & near[b]
+        for mask in reversed(masks):
+            while mask:
+                b = mask.bit_length()
+                mask ^= bit[b]
+                P ^= bit[b]
+                yield b, P & near[b]
+
+    def walk(share, spent: int, stop: float) -> list[tuple]:
+        # (task, nodes, clique if found) of the tasks of ``share`` in order,
+        # after ``spent`` nodes: up to the first found or over the budget, or
+        # until ``stop`` nodes are spent. Each task is walked depth first, with
+        # one open ``branches`` per node on the path. A worker that stops at
+        # task i sets stopped[0] to at most i, and no later task is needed.
+        out = []
+        for i in share:
+            if spent >= stop or i > stopped[0]:
+                break
+            b, P = tasks[i]
+            clique, frames, nodes = [start, V - b], [], 0
+            while (nodes := nodes + 1) + spent <= budget and len(clique) < target:
+                frames.append(branches(P, target - len(clique)))
+                while frames and (step := next(frames[-1], None)) is None:
+                    frames.pop()
+                    clique.pop()
+                if not frames:
+                    break
+                b, P = step
+                clique.append(V - b)
+            spent += nodes
+            out.append((i, nodes, clique if len(clique) == target else None))
+            if spent > budget or len(clique) == target:
+                stopped[0] = min(stopped[0], i)
+                break
+        return out
+
+    if budget < 1 or target == 1:
+        return ("budget", None, 1) if budget < 1 else ("found", [start], 1)
+    tasks = list(branches(near[V - start], target - 1))
+    stopped = [len(tasks)]
+    split = workers > 1 and hasattr(os, "fork")
+    results = walk(range(len(tasks)), 1, _SERIAL_NODES if split else math.inf)
+    if stopped[0] == len(tasks) > len(results):
+        import mmap  # stopped[0], shared with the workers: a lost update leaves a later stop
+
+        spent = 1 + sum(r[1] for r in results)
+        stopped = memoryview(mmap.mmap(-1, 8)).cast("q")
+        stopped[0] = len(tasks)
+        rest = range(len(results), len(tasks))
+        results += _walk_forked(lambda share: walk(share, spent, math.inf), rest, workers)
+    nodes = 1
+    for _, n, clique in sorted(results):
+        nodes += n
+        if nodes > budget:
+            return "budget", None, budget + 1
+        if clique:
+            return "found", clique, nodes
+    return "exhausted", None, nodes
+
+
+def _walk_forked(walk, tasks: range, workers: int) -> list[tuple]:
+    """``walk(tasks[j::workers])`` for each worker j, concatenated.
+
+    Worker 0 is this process, which also walks the share of a fork that
+    fails; the others are forked children that send their lists back
+    pickled over a pipe. Each is reaped before this returns, and killed
+    first if this raises. Worker j runs on the j-th CPU this process may
+    use, where the platform allows it: on a 2-vCPU Linux VM the scheduler
+    left a forked worker on its parent's CPU, both at half speed.
+    """
+    pin = getattr(os, "sched_setaffinity", lambda pid, cpus: None)
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
+    own, children = [0], {}
+    try:
+        for j in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare
+                os.close(r)
+                os.close(w)
+                own.append(j)
+                continue
+            if not pid:  # the child, which never returns into its caller
+                try:
+                    os.close(r)
+                    pin(0, {cpus[j % len(cpus)]})
+                    with os.fdopen(w, "wb") as out:
+                        pickle.dump(walk(tasks[j::workers]), out)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children[pid] = os.fdopen(r, "rb")
+        pin(0, cpus[:1])
+        results = walk(sorted(i for j in own for i in tasks[j::workers]))
+        for pid, f in list(children.items()):
+            data = f.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            f.close()
+            if status:
+                raise RuntimeError(f"search worker {pid} failed (wait status {status})")
+            results += pickle.loads(data)
+        return results
+    finally:
+        pin(0, cpus)
+        for pid, f in children.items():
+            f.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+
+
+def _available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def find_spectrum(
     S: PointSet,
     budget: int = DEFAULT_SEARCH_NODES,
     canonical: bool = False,
+    workers: int = 1,
 ) -> SearchOutcome:
     """Search for a spectrum of S, or prove by exhaustion that none exists.
 
@@ -511,7 +612,8 @@ def find_spectrum(
     del packed  # the kernel's tables take its place
     ranks = ranks[order]
 
-    status, clique, nodes = _clique_kernel(rows, 0, k, budget, canonical)
+    status, clique, nodes = _clique_kernel(
+        rows, 0, k, budget, canonical, min(workers, _available_cpus()))
     if status != "found":
         return SearchOutcome(status=status, certificate=None, nodes=nodes)
     spectrum = PointSet.from_ranks(spec, ranks[clique])

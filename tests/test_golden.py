@@ -218,13 +218,13 @@ def _argv(args: list[str]) -> list[str]:
     return [str(INPUTS / a) if a.endswith(".set") else a for a in args]
 
 
-def run_case(name: str) -> str:
-    """``exit=<code>`` followed by the stdout of the case."""
+def run_case(name: str, extra: tuple[str, ...] = ()) -> str:
+    """``exit=<code>`` followed by the stdout of the case, run with ``extra`` flags."""
     from spectile.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(_argv(CASES[name]))
+        code = main(_argv(CASES[name]) + list(extra))
     return f"exit={code}\n{out.getvalue()}"
 
 
@@ -232,6 +232,32 @@ def run_case(name: str) -> str:
 def test_golden_output(name):
     expected = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     assert run_case(name) == expected
+
+
+# The find-spectrum cases whose walk passes the kernel's 1,000 serial nodes,
+# so that at the default --threads, on more than one CPU, the rest is split.
+SPLIT_CASES = {
+    "find-spectrum-z2pow10-budget-canonical", "find-spectrum-z2pow10-none-canonical",
+    "find-spectrum-z2pow12-cube20", "find-spectrum-z2pow12-cube20-canonical",
+}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if CASES[n][0] == "find-spectrum"))
+def test_find_spectrum_output_at_one_thread_and_the_default(name, monkeypatch):
+    from spectile import spectral
+
+    splits = []
+    forked = spectral._walk_forked
+
+    def spy(*args):
+        splits.append(args)
+        return forked(*args)
+
+    monkeypatch.setattr(spectral, "_walk_forked", spy)
+    one = run_case(name, ("--threads", "1"))
+    assert not splits
+    assert run_case(name) == one == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert len(splits) == (name in SPLIT_CASES and spectral._available_cpus() > 1)
 
 
 def test_every_golden_file_has_a_case():

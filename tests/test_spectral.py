@@ -14,6 +14,7 @@ from spectile.spectral import (
     SpectralFailure,
     SpectrumCertificate,
     _galois_labels,
+    _unit_generators,
     char_sum_on_set,
     find_spectrum,
     verify_spectral_pair,
@@ -290,6 +291,20 @@ def test_galois_labels_are_the_least_rank_of_each_orbit(orders):
         if math.gcd(u, L) == 1:
             least = np.minimum(least, g.encode(coords * u % np.array(orders)))
     assert np.array_equal(_galois_labels(g), least)
+
+
+# The exponents of the groups the tests draw or name, up to 5040.
+@pytest.mark.parametrize("L", [*range(1, 65), 72, 271, 512, 1024, 1365, 2520, 4096, 5040])
+def test_unit_generators_reach_every_unit(L):
+    gens = _unit_generators(L)
+    reached, todo = {1 % L}, [1 % L]
+    while todo:
+        x = todo.pop()
+        for u in gens:
+            if x * u % L not in reached:
+                reached.add(x * u % L)
+                todo.append(x * u % L)
+    assert reached == {u for u in range(L) if math.gcd(u, L) == 1}
 
 
 @pytest.mark.parametrize("canonical", [False, True])
