@@ -39,8 +39,8 @@ def assert_no_child_left():
 
 
 @contextmanager
-def split_at_root(cpus: int = 3):
-    """Split after the root, on up to ``cpus`` workers, recording each split's tasks."""
+def split_at_root():
+    """Split after the root, on up to 3 workers, recording each split's tasks and results."""
     splits = []
     forked = spectral._walk_forked
 
@@ -51,7 +51,7 @@ def split_at_root(cpus: int = 3):
 
     with mock.patch.object(spectral, "_SERIAL_NODES", 0), \
             mock.patch.object(spectral, "_walk_forked", spy), \
-            mock.patch.object(spectral, "_available_cpus", lambda: cpus):
+            mock.patch.object(spectral, "_available_cpus", lambda: 3):
         yield splits
 
 
