@@ -407,10 +407,17 @@ def _clique_kernel(
     neighbours from Q, and that vertex alone from R. The class is complete
     when Q is empty (X <= full); it is then the R it started from XOR X.
 
+    Only a node that ``bound`` does not prune opens a generator over its
+    ``children``, so a leaf, most nodes of a pruned tree, costs one call.
+
     The walk is split at the root: each branch is a task, its subtree walked
     from the clique [start, v]. The tasks run in order until ``_SERIAL_NODES``
-    nodes are spent, the rest in ``workers`` processes (``_walk_forked``).
-    Node counts add up in task order from 1 for the root, as in one walk.
+    nodes are spent, the rest in ``workers`` processes that claim them in
+    order from one queue (``_walk_forked``). A worker stops at its first task
+    that finds a clique or runs over the budget and records it in shared
+    memory, which every worker reads once per node: a worker inside a later
+    task, which the result no longer needs, leaves it at its next node. Node
+    counts add up in task order from 1 for the root, as in one walk.
     """
     # The tables are indexed by bit length: vertex V - b is bit b - 1 of a
     # row, and X.bit_length() is V + b while Q is not empty.
@@ -421,27 +428,31 @@ def _clique_kernel(
     take = [0] * (V + 1)
     take += [((full ^ a ^ m) << V) | (full ^ m) for a, m in zip(near[1:], bit[1:])]
 
-    def branches(P: int, need: int) -> Iterator[tuple[int, int]]:
-        # (b, candidates) of each child of the node with candidates P, in
-        # branching order. Branching on vertex V - b removes it from P, so the
-        # child's candidates are the remaining ones adjacent to it (in
-        # canonical mode, exactly those after it).
+    def bound(P: int, need: int) -> int:
+        # The candidates of P left uncoloured after need - 1 colour classes,
+        # or 0 if the node is pruned: then it has no child.
         rest = P
         for c in range(need - 1):  # colours below need: removed, not branched on
             if c + rest.bit_count() < need:
-                return
+                return 0
             X = rest << V | rest
             while X > full:
                 X &= take[X.bit_length()]
             rest = X
-        masks = []
-        if canonical:
-            if rest:  # a class of colour need exists
-                first = P
-                for _ in range(need - 1):  # too few candidates follow these
-                    first &= first - 1
-                masks.append(first)
+        return rest
+
+    def children(P: int, need: int, rest: int) -> Iterator[tuple[int, int]]:
+        # (b, candidates) of each child of the node with candidates P, in
+        # branching order, given rest = bound(P, need), not 0. Branching on
+        # vertex V - b removes it from P, so the child's candidates are the
+        # remaining ones adjacent to it (in canonical mode, exactly those after it).
+        if canonical:  # a class of colour need exists
+            first = P
+            for _ in range(need - 1):  # too few candidates follow these
+                first &= first - 1
+            masks = [first]
         else:
+            masks = []
             while rest:
                 X = rest << V | rest
                 while X > full:
@@ -459,16 +470,21 @@ def _clique_kernel(
         # (task, nodes, clique if found) of the tasks of ``share`` in order,
         # after ``spent`` nodes: up to the first found or over the budget, or
         # until ``stop`` nodes are spent. Each task is walked depth first, with
-        # one open ``branches`` per node on the path. A worker that stops at
-        # task i sets stopped[0] to at most i, and no later task is needed.
+        # one open ``children`` per inner node on the path. A worker that stops
+        # at task i sets stopped[0] to at most i, and no later task is needed.
         out = []
         for i in share:
             if spent >= stop or i > stopped[0]:
                 break
             b, P = tasks[i]
             clique, frames, nodes = [start, V - b], [], 0
-            while (nodes := nodes + 1) + spent <= budget and len(clique) < target:
-                frames.append(branches(P, target - len(clique)))
+            while ((nodes := nodes + 1) + spent <= budget and len(clique) < target
+                   and i <= stopped[0]):
+                need = target - len(clique)
+                if rest := bound(P, need):
+                    frames.append(children(P, need, rest))
+                else:
+                    clique.pop()
                 while frames and (step := next(frames[-1], None)) is None:
                     frames.pop()
                     clique.pop()
@@ -485,7 +501,9 @@ def _clique_kernel(
 
     if budget < 1 or target == 1:
         return ("budget", None, 1) if budget < 1 else ("found", [start], 1)
-    tasks = list(branches(near[V - start], target - 1))
+    P = near[V - start]
+    rest = bound(P, target - 1)
+    tasks = list(children(P, target - 1, rest)) if rest else []
     stopped = [len(tasks)]
     split = workers > 1 and hasattr(os, "fork")
     results = walk(range(len(tasks)), 1, _SERIAL_NODES if split else math.inf)
@@ -495,8 +513,8 @@ def _clique_kernel(
         spent = 1 + sum(r[1] for r in results)
         stopped = memoryview(mmap.mmap(-1, 8)).cast("q")
         stopped[0] = len(tasks)
-        rest = range(len(results), len(tasks))
-        results += _walk_forked(lambda share: walk(share, spent, math.inf), rest, workers)
+        left = range(len(results), len(tasks))
+        results += _walk_forked(lambda share: walk(share, spent, math.inf), left, workers)
     nodes = 1
     for _, n, clique in sorted(results):
         nodes += n
@@ -508,19 +526,35 @@ def _clique_kernel(
 
 
 def _walk_forked(walk, tasks: range, workers: int) -> list[tuple]:
-    """``walk(tasks[j::workers])`` for each worker j, concatenated.
+    """``walk`` in this process and in ``workers - 1`` forked children, concatenated.
 
-    Worker 0 is this process, which also walks the share of a fork that
-    fails; the others are forked children that send their lists back
-    pickled over a pipe. Each is reaped before this returns, and killed
-    first if this raises. Worker j runs on the j-th CPU this process may
-    use, where the platform allows it: on a 2-vCPU Linux VM the scheduler
-    left a forked worker on its parent's CPU, both at half speed.
+    The workers draw ``tasks`` from one queue: a pipe holding each task index
+    as a 2-byte little-endian record, at most 8 KiB, written whole before the
+    first fork. A claim is one unbuffered 2-byte read, and the system
+    serialises reads on a pipe, so each task goes to one worker, in ascending
+    order, and a worker on a faster CPU walks more of them. A fork that fails
+    leaves its work in the queue. The children send their lists back pickled
+    over a pipe of their own. Each is reaped before this returns, and killed
+    first if this raises. Worker j runs on the j-th CPU this process may use,
+    where the platform allows it: on a 2-vCPU Linux VM the scheduler left a
+    forked worker on its parent's CPU, both at half speed.
     """
+    # Task indices are below MAX_SEARCH_ORDER = 4096: 8 KiB is under the pipe
+    # buffer on Linux (64 KiB) and macOS (16 KiB), so the write cannot block.
+    # A higher cap on the search order must revisit this.
+    assert tasks.stop <= MAX_SEARCH_ORDER <= 4096
     pin = getattr(os, "sched_setaffinity", lambda pid, cpus: None)
     cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [0]
-    own, children = [0], {}
+
+    def claims() -> Iterator[int]:
+        while record := os.read(q, 2):
+            yield int.from_bytes(record, "little")
+
+    children = {}
+    q, w = os.pipe()
     try:
+        with os.fdopen(w, "wb") as out:  # written whole and closed: empty reads as end of file
+            out.write(np.array(tasks, dtype="<u2").tobytes())
         for j in range(1, workers):
             r, w = os.pipe()
             try:
@@ -528,21 +562,20 @@ def _walk_forked(walk, tasks: range, workers: int) -> list[tuple]:
             except OSError:  # no process to spare
                 os.close(r)
                 os.close(w)
-                own.append(j)
                 continue
             if not pid:  # the child, which never returns into its caller
                 try:
                     os.close(r)
                     pin(0, {cpus[j % len(cpus)]})
                     with os.fdopen(w, "wb") as out:
-                        pickle.dump(walk(tasks[j::workers]), out)
+                        pickle.dump(walk(claims()), out)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children[pid] = os.fdopen(r, "rb")
         pin(0, cpus[:1])
-        results = walk(sorted(i for j in own for i in tasks[j::workers]))
+        results = walk(claims())
         for pid, f in list(children.items()):
             data = f.read()
             status = os.waitpid(pid, 0)[1]
@@ -553,6 +586,7 @@ def _walk_forked(walk, tasks: range, workers: int) -> list[tuple]:
             results += pickle.loads(data)
         return results
     finally:
+        os.close(q)
         pin(0, cpus)
         for pid, f in children.items():
             f.close()
