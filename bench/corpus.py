@@ -34,6 +34,10 @@ builder per kind:
   ``find_spectrum`` takes no ``workers`` is called without it;
 - ``small_sets``: ``find_spectrum`` per call over 200 seeded random sets
   of at most 6 points, where the fixed cost of a call dominates;
+- ``char_sum``: ``char_sum_on_set``, per call, at 8 seeded random
+  characters on a seeded random set: 13,824 points in ``Z_24^6``, the size
+  of the paper's A x B, 1,728 in ``Z_24^3``, 20 in ``Z_2^12`` and 3 in
+  ``Z_8 x Z_8``;
 - ``product_diagonal``: ``product_with_diagonal`` of ``[0,n/2)^d`` and
   ``{0,n/2}^d`` in ``Z_n^d``, split into the tiling test and the zero sets;
 - ``pipeline``: ``tiling_product_pipeline`` of ``[0,2)^2`` and ``{0,2}^2`` in
@@ -201,6 +205,16 @@ def small_sets(pkg, group):
         "per_call_s": seconds(lambda: [pkg.spectral.find_spectrum(S) for S in sets], len(sets))}
 
 
+def char_sum(pkg, case):
+    group, size = case
+    spec = pkg.groups.parse_group_spec(group)
+    rng = random.Random(f"{SEED}:{group}:{size}")
+    S = pkg.groups.PointSet.from_ranks(spec, rng.sample(range(spec.order), size))
+    hs = [spec.element_at(rng.randrange(spec.order)) for _ in range(8)]
+    return f"char_sum {group} |S|={size}", lambda: {
+        "per_call_s": seconds(lambda: [pkg.spectral.char_sum_on_set(S, h) for h in hs], len(hs))}
+
+
 def product_diagonal(pkg, group):
     spec, diag = pkg.groups.parse_group_spec(group), pkg.diagonal
     A, B = (pkg.groups.PointSet.from_coords(spec, itertools.product(*axes)) for axes in (
@@ -246,6 +260,8 @@ def table(gen) -> list[tuple]:
                                        ("271", 20_000))),
         *((find_spectrum, (*op, workers)) for op in spectrum_ops for workers in (1, cpus)),
         *((small_sets, group) for group in ("12", "2x6", "2^3", "64")),
+        *((char_sum, case) for case in (("24^6", 13_824), ("24^3", 1_728), ("2^12", 20),
+                                        ("8x8", 3))),
         (product_diagonal, "24^3"),
         *((pipeline, k) for k in (2, 3, 4)),
     ]

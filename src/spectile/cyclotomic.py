@@ -98,7 +98,7 @@ def _crt_plan(L: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     return L // r, tuple((p, r // p * pow(r // p, -1, p)) for p in primes)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _crt_grid(L: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """(index, shape): index[c] = j + m t at cell c = (t mod p_1, ..., t mod p_k, j), flattened."""
     m, steps = _crt_plan(L)

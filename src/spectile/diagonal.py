@@ -171,7 +171,6 @@ def check_diagonal_spectral(
     P: PointSet,
     pair: DiagonalPair | None = None,
     pair_budget: int = DEFAULT_PAIR_OPS,
-    enum_budget: int = DEFAULT_ENUM_BUDGET,
 ) -> DiagonalCheck:
     """Evaluate both sides of the diagonal criterion independently.
 
@@ -194,7 +193,7 @@ def check_diagonal_spectral(
             ),
         )
     if pair is None:
-        pair = diagonal_subgroup(base, budget=enum_budget)
+        pair = diagonal_subgroup(base)
     res = verify_spectral_pair(P, pair.diagonal)
     spectral_ok = isinstance(res, SpectrumCertificate)
     return DiagonalCheck(

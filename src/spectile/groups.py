@@ -227,38 +227,38 @@ class PointSet:
     """A duplicate-free subset of a group, stored as its sorted ranks.
 
     ``rank_array`` is a read-only int64 array of the ranks in ascending
-    order. The first coordinate has the largest stride, so ascending rank is
-    lexicographic coordinate order: iteration follows it, and equal sets are
-    bit-identical however they were assembled. ``points``, the elements as
-    :class:`GroupElement` objects, are the elements a set was built from, or
-    else are derived from the ranks on first use; ranks likewise.
+    order, set by every constructor. The first coordinate has the largest
+    stride, so ascending rank is lexicographic coordinate order: iteration
+    follows it, and equal sets are bit-identical however they were
+    assembled. ``points``, the elements as :class:`GroupElement` objects,
+    are decoded from the ranks on first use.
     """
 
-    __slots__ = ("group", "_ranks", "_points", "_hash")
+    __slots__ = ("group", "rank_array", "_points", "_hash")
 
     def __init__(self, group: GroupSpec, elements: Iterable[GroupElement]):
-        by_coords: dict[tuple[int, ...], GroupElement] = {}
+        coords = []
         for el in elements:
             if el.group is not group and el.group != group:
                 raise ValueError(
                     f"element of {el.group.spec_string()} cannot join a point set "
                     f"in {group.spec_string()}"
                 )
-            by_coords.setdefault(el.coords, el)
-        self._set(group, None, tuple([by_coords[c] for c in sorted(by_coords)]))
+            coords.append(el.coords)
+        self._set(group, group.encode(coords))
 
-    def _set(self, group: GroupSpec, ranks: np.ndarray | None, points: tuple | None) -> None:
+    def _set(self, group: GroupSpec, arr: np.ndarray) -> None:
+        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
+            # np.unique would import numpy.ma on first use, 15 ms
+            arr.sort()
+            arr = arr[np.diff(arr, prepend=arr[0] - 1) != 0]
+        if arr.size and (arr[0] < 0 or arr[-1] >= group.order):
+            raise ValueError(f"rank out of range for order {group.order}")
+        arr.flags.writeable = False
         self.group = group
-        self._ranks = ranks
-        self._points = points
+        self.rank_array = arr
+        self._points = None
         self._hash = None
-
-    @property
-    def rank_array(self) -> np.ndarray:
-        if self._ranks is None:  # lexicographic coordinate order is rank order
-            self._ranks = self.group.encode([p.coords for p in self._points])
-            self._ranks.flags.writeable = False
-        return self._ranks
 
     @classmethod
     def from_coords(cls, group: GroupSpec, coords: Iterable[Iterable[int]]) -> PointSet:
@@ -267,16 +267,8 @@ class PointSet:
     @classmethod
     def from_ranks(cls, group: GroupSpec, ranks: Iterable[int]) -> PointSet:
         arr = np.array(ranks if isinstance(ranks, np.ndarray) else list(ranks), dtype=np.int64)
-        arr = arr.ravel()
-        if arr.size > 1 and not (arr[1:] > arr[:-1]).all():
-            # np.unique would import numpy.ma on first use, 15 ms
-            arr.sort()
-            arr = arr[np.diff(arr, prepend=arr[0] - 1) != 0]
-        if arr.size and (arr[0] < 0 or arr[-1] >= group.order):
-            raise ValueError(f"rank out of range for order {group.order}")
-        arr.flags.writeable = False
         ps = object.__new__(cls)
-        ps._set(group, arr, None)
+        ps._set(group, arr.ravel())
         return ps
 
     @property
@@ -299,7 +291,7 @@ class PointSet:
         return PointSet.from_ranks(self.group, self.group.add(self.rank_array, t.rank()))
 
     def __len__(self) -> int:
-        return len(self._points if self._ranks is None else self._ranks)
+        return len(self.rank_array)
 
     def __iter__(self) -> Iterator[GroupElement]:
         return iter(self.points)

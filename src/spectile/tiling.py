@@ -142,7 +142,6 @@ def find_complement(
             nodes=0,
             detail=f"ambient order {n} exceeds search cap {MAX_SEARCH_ORDER}",
         )
-    need = n // m
 
     # Row u is the translate u + A: row_cells[u] lists the elements it covers,
     # row_mask[u] masks them, rows_at[g] masks the rows that cover g, and
@@ -184,8 +183,6 @@ def find_complement(
         if canonical:
             # the free rows after the last chosen one, provided one of them
             # covers the smallest uncovered element
-            if len(chosen) == need:
-                return 0
             later = free & ~((2 << chosen[-1]) - 1)
             uncovered = full ^ cover
             return later if rows_at[(uncovered & -uncovered).bit_length() - 1] & later else 0

@@ -32,7 +32,7 @@ def test_corpus_writes_one_record_schema(tmp_path, monkeypatch):
     records = report["records"]
     assert {r["kind"] for r in records} == {
         "batch", "scalar", "first_call", "harness", "find_spectrum", "small_sets",
-        "product_diagonal", "pipeline"}
+        "char_sum", "product_diagonal", "pipeline"}
     assert {r["layer"] for r in records if r["kind"] == "harness"} == {
         "total_s", "kernel_s", "draw_s", "rows_per_s", "disagreements"}
     assert {r["layer"] for r in records if r["kind"] == "find_spectrum"} == {

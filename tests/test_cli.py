@@ -7,6 +7,7 @@ import os
 import pytest
 
 from conftest import run_cli
+from spectile.spectral import MAX_SEARCH_ORDER
 
 
 @pytest.fixture
@@ -104,6 +105,20 @@ def test_find_spectrum_budget_exit_3(files, capsys):
     code, out = run_cli(["find-spectrum", files["S012"], "--budget", "1"], capsys)
     assert code == 1
     assert "no spectrum (exhaustive)" in out
+
+
+@pytest.mark.parametrize("command", ["find-spectrum", "find-complement"])
+def test_search_above_order_cap_exits_3(tmp_path, command, capsys):
+    order = MAX_SEARCH_ORDER + 1
+    path = tmp_path / "one.set"
+    path.write_text(f"group {order}\n0\n", encoding="utf-8")
+    code, out = run_cli([command, str(path)], capsys)
+    assert code == 3
+    assert out.splitlines() == [
+        "budget exceeded (search incomplete)",
+        f"ambient order {order} exceeds search cap {MAX_SEARCH_ORDER}",
+        "nodes=0",
+    ]
 
 
 def test_find_complement_found(files, capsys):

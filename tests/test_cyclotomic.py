@@ -316,6 +316,16 @@ def test_batch_zero_test_takes_zero_rows():
         assert _batch_is_zero(L, np.zeros((0, L), dtype=np.int64)).shape == (0,)
 
 
+def test_crt_grid_cache_stays_bounded():
+    # Each entry is an index of L entries: an unbounded cache kept one per
+    # exponent ever tested.
+    bound = cyclotomic._crt_grid.cache_info().maxsize
+    assert bound is not None
+    for L in range(2, bound + 12):
+        assert _batch_is_zero(L, np.ones((1, L), dtype=np.int64)).tolist() == [True]
+    assert cyclotomic._crt_grid.cache_info().currsize <= bound
+
+
 def test_no_verdict_builds_a_cyclotomic_polynomial(monkeypatch):
     from spectile import diagonal
     from spectile.spectral import find_spectrum

@@ -89,6 +89,19 @@ def test_char_sum_agrees_with_float_oracle():
             assert exact.is_zero() == (abs(approx) < 1e-9)
 
 
+def test_char_sum_counts_past_int32_exponents():
+    # In Z_65537^2 a character's raw exponents reach about 8.6e9 > 2^31.
+    g = GroupSpec([65537, 65537])
+    rng = random.Random(11)
+    for _ in range(4):
+        S = PointSet.from_ranks(g, rng.sample(range(g.order), 50))
+        h = g.element([rng.randrange(32768, 65537), rng.randrange(32768, 65537)])
+        expected = [0] * g.exponent
+        for p in S:
+            expected[character_pairing(h, p)] += 1
+        assert list(char_sum_on_set(S, h).counts) == expected
+
+
 def test_are_orthogonal_same_character_never():
     g = GroupSpec([5])
     S = PointSet.from_coords(g, [[0], [2]])
